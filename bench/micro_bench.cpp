@@ -39,8 +39,7 @@ void BM_QuestGenerate(benchmark::State& state) {
 }
 BENCHMARK(BM_QuestGenerate)->Arg(1000)->Arg(10000);
 
-void BM_HistogramAccumulate(benchmark::State& state) {
-  const data::Dataset& ds = quest_binned();
+void accumulate_rows(benchmark::State& state, const data::Dataset& ds) {
   const dtree::SlotMapper mapper(ds, 32);
   const dtree::AttrLayout layout(ds.schema(), 32);
   std::vector<data::RowId> rows(static_cast<std::size_t>(state.range(0)));
@@ -50,11 +49,36 @@ void BM_HistogramAccumulate(benchmark::State& state) {
     std::fill(h.begin(), h.end(), 0);
     dtree::accumulate(h, layout, mapper, rows);
     benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 9);
+                          state.range(0) * ds.num_attributes());
+}
+
+// Paper-binned data: every slot is a stored category.
+void BM_HistogramAccumulate(benchmark::State& state) {
+  accumulate_rows(state, quest_binned());
 }
 BENCHMARK(BM_HistogramAccumulate)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// Raw continuous columns: six of nine slots are 32-way micro-bin lookups.
+void BM_HistogramAccumulateRaw(benchmark::State& state) {
+  accumulate_rows(state, quest_raw());
+}
+BENCHMARK(BM_HistogramAccumulateRaw)->Arg(1000)->Arg(10000)->Arg(50000);
+
+// Global equal-width binning of the six continuous Quest columns into the
+// paper's interval counts.
+void BM_DiscretizeUniform(benchmark::State& state) {
+  const data::Dataset& raw = quest_raw();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        data::discretize_uniform(raw, data::quest_paper_bins()));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw.num_rows()));
+}
+BENCHMARK(BM_DiscretizeUniform)->Unit(benchmark::kMillisecond);
 
 void BM_ChooseSplit(benchmark::State& state) {
   const data::Dataset& ds = quest_binned();

@@ -103,11 +103,11 @@ ParResult build_vertical(const data::Dataset& ds, const ParOptions& opt) {
 
         std::vector<std::vector<data::RowId>> child_rows(
             static_cast<std::size_t>(d.test.num_children));
-        for (const data::RowId row : fn->rows) {
-          const int slot = mapper.slot(d.test.attr, row);
-          child_rows[static_cast<std::size_t>(d.test.child_of_slot(slot))]
-              .push_back(row);
-        }
+        mapper.for_each_slot(
+            d.test.attr, fn->rows, [&](data::RowId row, int s) {
+              child_rows[static_cast<std::size_t>(d.test.child_of_slot(s))]
+                  .push_back(row);
+            });
         for (int k = 0; k < d.test.num_children; ++k) {
           auto& rows = child_rows[static_cast<std::size_t>(k)];
           if (!rows.empty()) next.push_back({first + k, std::move(rows)});
@@ -232,12 +232,12 @@ ParResult build_host_worker(const data::Dataset& ds, const ParOptions& opt) {
           auto& rows = chunk[i]->worker_rows[static_cast<std::size_t>(w)];
           if (rows.empty()) continue;
           machine.charge_compute(w + 1, static_cast<double>(rows.size()));
-          for (const data::RowId row : rows) {
-            const int slot = mapper.slot(d.test.attr, row);
-            children[static_cast<std::size_t>(d.test.child_of_slot(slot))]
-                .worker_rows[static_cast<std::size_t>(w)]
-                .push_back(row);
-          }
+          mapper.for_each_slot(
+              d.test.attr, rows, [&](data::RowId row, int s) {
+                children[static_cast<std::size_t>(d.test.child_of_slot(s))]
+                    .worker_rows[static_cast<std::size_t>(w)]
+                    .push_back(row);
+              });
           rows.clear();
           rows.shrink_to_fit();
         }

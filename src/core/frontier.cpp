@@ -419,19 +419,23 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         auto& rows = work[i]->local_rows[static_cast<std::size_t>(m)];
         if (rows.empty()) continue;
         machine.charge_compute(g.rank(m), static_cast<double>(rows.size()));
-        for (const data::RowId row : rows) {
-          // Threshold tests compare the raw value (equivalent to the slot
-          // comparison when the cut is a micro-bin boundary, and required
-          // for the exact thresholds of the parallel-sorting strategy).
-          const int child =
-              d.test.kind == dtree::SplitTest::Kind::Threshold
-                  ? (ctx.dataset().cont(d.test.attr, row) < d.test.threshold
-                         ? 0
-                         : 1)
-                  : d.test.child_of_slot(mapper.slot(d.test.attr, row));
+        const auto route = [&](data::RowId row, int child) {
           children[static_cast<std::size_t>(child)]
               .local_rows[static_cast<std::size_t>(m)]
               .push_back(row);
+        };
+        if (d.test.kind == dtree::SplitTest::Kind::Threshold) {
+          // Threshold tests compare the raw value (equivalent to the slot
+          // comparison when the cut is a micro-bin boundary, and required
+          // for the exact thresholds of the parallel-sorting strategy).
+          const double* col = ctx.dataset().cont_column(d.test.attr).data();
+          for (const data::RowId row : rows) {
+            route(row, col[row] < d.test.threshold ? 0 : 1);
+          }
+        } else {
+          mapper.for_each_slot(d.test.attr, rows, [&](data::RowId row, int s) {
+            route(row, d.test.child_of_slot(s));
+          });
         }
         rows.clear();
         rows.shrink_to_fit();

@@ -2,8 +2,24 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <string_view>
 
 namespace pdt::data {
+
+namespace {
+
+[[noreturn, gnu::cold, gnu::noinline]] void reject_out_of_range(
+    std::size_t row, std::string_view column, std::string_view what,
+    long long value, int bound) {
+  throw std::invalid_argument(
+      "row " + std::to_string(row) + ", column " + std::string(column) +
+      ": " + std::string(what) + " " + std::to_string(value) +
+      " is outside [0, " + std::to_string(bound) + ")");
+}
+
+}  // namespace
 
 Dataset::Dataset(Schema schema, std::size_t expected_rows)
     : schema_(std::move(schema)) {
@@ -21,8 +37,10 @@ Dataset::Dataset(Schema schema, std::size_t expected_rows)
 }
 
 std::size_t Dataset::add_row(std::int32_t label) {
-  assert(label >= 0 && label < schema_.num_classes());
   const std::size_t row = labels_.size();
+  if (label < 0 || label >= schema_.num_classes()) {
+    reject_out_of_range(row, "class", "label", label, schema_.num_classes());
+  }
   labels_.push_back(label);
   for (int a = 0; a < num_attributes(); ++a) {
     if (schema_.attr(a).is_categorical()) {
@@ -34,15 +52,17 @@ std::size_t Dataset::add_row(std::int32_t label) {
   return row;
 }
 
-void Dataset::set_cat(int attr, std::size_t row, std::int32_t value) {
-  assert(schema_.attr(attr).is_categorical());
-  assert(value >= 0 && value < schema_.attr(attr).cardinality);
-  cat_[static_cast<std::size_t>(attr)][row] = value;
+void Dataset::reject_category(int attr, std::size_t row,
+                              std::int32_t value) const {
+  const Attribute& a = schema_.attr(attr);
+  reject_out_of_range(row, a.name, "category", value, a.cardinality);
 }
 
-void Dataset::set_cont(int attr, std::size_t row, double value) {
-  assert(schema_.attr(attr).is_continuous());
-  cont_[static_cast<std::size_t>(attr)][row] = value;
+void Dataset::reject_non_finite(int attr, std::size_t row,
+                                double value) const {
+  throw std::invalid_argument("row " + std::to_string(row) + ", column " +
+                              schema_.attr(attr).name + ": value " +
+                              std::to_string(value) + " is not finite");
 }
 
 std::pair<double, double> Dataset::cont_range(int attr) const {

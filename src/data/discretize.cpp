@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace pdt::data {
@@ -22,13 +23,20 @@ int bin_of(double v, const std::vector<double>& cuts) {
   return static_cast<int>(it - cuts.begin());
 }
 
+UniformBins::UniformBins(double lo, double hi, int bins)
+    : lo_(lo),
+      hi_(hi),
+      scale_(hi > lo ? bins / (hi - lo)
+                     : std::numeric_limits<double>::infinity()),
+      cuts_(uniform_boundaries(lo, hi, bins)) {}
+
 Dataset discretize_uniform(const Dataset& ds,
                            const std::vector<int>& bins_per_attr) {
   const Schema& in = ds.schema();
   assert(static_cast<int>(bins_per_attr.size()) == in.num_attributes());
 
   std::vector<Attribute> attrs;
-  std::vector<std::vector<double>> cuts(
+  std::vector<UniformBins> binning(
       static_cast<std::size_t>(in.num_attributes()));
   for (int a = 0; a < in.num_attributes(); ++a) {
     const Attribute& src = in.attr(a);
@@ -39,7 +47,7 @@ Dataset discretize_uniform(const Dataset& ds,
     const int bins = bins_per_attr[static_cast<std::size_t>(a)];
     assert(bins >= 2);
     const auto [lo, hi] = ds.cont_range(a);
-    cuts[static_cast<std::size_t>(a)] = uniform_boundaries(lo, hi, bins);
+    binning[static_cast<std::size_t>(a)] = UniformBins(lo, hi, bins);
     Attribute binned =
         Attribute::categorical(src.name, bins, /*ordered=*/true);
     for (int b = 0; b < bins; ++b) {
@@ -61,7 +69,7 @@ Dataset discretize_uniform(const Dataset& ds,
         out.set_cat(a, row, ds.cat(a, row));
       } else {
         out.set_cat(a, row,
-                    bin_of(ds.cont(a, row), cuts[static_cast<std::size_t>(a)]));
+                    binning[static_cast<std::size_t>(a)].bin(ds.cont(a, row)));
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace pdt::data {
@@ -94,20 +95,27 @@ Dataset load_csv(std::istream& in) {
 
   Dataset ds(Schema(std::move(attrs), num_classes));
   std::string line;
+  std::size_t line_no = 1;
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) continue;
     const auto fields = split(line, ',');
     if (fields.size() != cols.size()) {
       throw std::runtime_error("csv: wrong field count in row: " + line);
     }
-    const std::size_t row = ds.add_row(std::stoi(fields.back()));
-    for (int a = 0; a < ds.num_attributes(); ++a) {
-      const auto& f = fields[static_cast<std::size_t>(a)];
-      if (ds.schema().attr(a).is_categorical()) {
-        ds.set_cat(a, row, std::stoi(f));
-      } else {
-        ds.set_cont(a, row, std::stod(f));
+    try {
+      const std::size_t row = ds.add_row(std::stoi(fields.back()));
+      for (int a = 0; a < ds.num_attributes(); ++a) {
+        const auto& f = fields[static_cast<std::size_t>(a)];
+        if (ds.schema().attr(a).is_categorical()) {
+          ds.set_cat(a, row, std::stoi(f));
+        } else {
+          ds.set_cont(a, row, std::stod(f));
+        }
       }
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("csv line " + std::to_string(line_no) +
+                                  ": " + e.what());
     }
   }
   return ds;

@@ -16,7 +16,9 @@ namespace pdt::data {
 void save_csv(const Dataset& ds, std::ostream& out);
 void save_csv_file(const Dataset& ds, const std::string& path);
 
-/// Throws std::runtime_error on malformed input.
+/// Throws std::runtime_error on malformed input, and std::invalid_argument
+/// naming the file line when a value fails Dataset's checks (a label or
+/// category out of range, a NaN or infinite continuous value).
 [[nodiscard]] Dataset load_csv(std::istream& in);
 [[nodiscard]] Dataset load_csv_file(const std::string& path);
 

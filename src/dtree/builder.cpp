@@ -55,11 +55,10 @@ Tree grow_bfs(const data::Dataset& ds, const GrowOptions& opt,
       ++local.nodes_expanded;
       std::vector<std::vector<data::RowId>> child_rows(
           static_cast<std::size_t>(d.test.num_children));
-      for (const data::RowId row : fn.rows) {
-        const int slot = mapper.slot(d.test.attr, row);
-        child_rows[static_cast<std::size_t>(d.test.child_of_slot(slot))]
+      mapper.for_each_slot(d.test.attr, fn.rows, [&](data::RowId row, int s) {
+        child_rows[static_cast<std::size_t>(d.test.child_of_slot(s))]
             .push_back(row);
-      }
+      });
       for (int k = 0; k < d.test.num_children; ++k) {
         auto& rows = child_rows[static_cast<std::size_t>(k)];
         if (!rows.empty()) {

@@ -10,14 +10,15 @@ namespace pdt::dtree {
 void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows) {
   assert(h.size() == static_cast<std::size_t>(layout.total()));
-  const data::Dataset& ds = mapper.dataset();
-  const int num_attrs = layout.num_attributes();
-  for (const data::RowId row : rows) {
-    const int cls = ds.label(row);
-    for (int a = 0; a < num_attrs; ++a) {
-      const int s = mapper.slot(a, row);
-      ++h[static_cast<std::size_t>(layout.index(a, s, cls))];
-    }
+  const std::int32_t* labels = mapper.dataset().labels().data();
+  const int c_num = layout.num_classes();
+  // Attribute-major: one pass over the rows per attribute, so each pass
+  // reads one column and updates one table.
+  for (int a = 0; a < layout.num_attributes(); ++a) {
+    std::int64_t* table = h.data() + layout.offset(a);
+    mapper.for_each_slot(a, rows, [&](data::RowId row, int s) {
+      ++table[s * c_num + labels[row]];
+    });
   }
 }
 

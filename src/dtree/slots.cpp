@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "data/discretize.hpp"
-
 namespace pdt::dtree {
 
 AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
@@ -26,30 +24,21 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
 SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     : ds_(&ds), cont_bins_(cont_bins) {
   const int n = ds.num_attributes();
-  cuts_.resize(static_cast<std::size_t>(n));
-  lo_.resize(static_cast<std::size_t>(n), 0.0);
-  hi_.resize(static_cast<std::size_t>(n), 0.0);
+  bins_.resize(static_cast<std::size_t>(n));
   for (int a = 0; a < n; ++a) {
     if (!ds.schema().attr(a).is_continuous()) continue;
     assert(cont_bins >= 2);
     const auto [lo, hi] = ds.cont_range(a);
-    lo_[static_cast<std::size_t>(a)] = lo;
-    hi_[static_cast<std::size_t>(a)] = hi;
-    cuts_[static_cast<std::size_t>(a)] =
-        data::uniform_boundaries(lo, hi, cont_bins);
+    bins_[static_cast<std::size_t>(a)] = data::UniformBins(lo, hi, cont_bins);
   }
 }
 
-int SlotMapper::slot_of_value(int attr, double v) const {
-  return data::bin_of(v, cuts_[static_cast<std::size_t>(attr)]);
-}
-
 double SlotMapper::bin_center(int attr, int s) const {
-  const auto& cuts = cuts_[static_cast<std::size_t>(attr)];
-  const double lo =
-      s == 0 ? lo_[static_cast<std::size_t>(attr)] : cuts[static_cast<std::size_t>(s - 1)];
+  const data::UniformBins& bins = bins_[static_cast<std::size_t>(attr)];
+  const auto& cuts = bins.cuts();
+  const double lo = s == 0 ? bins.lo() : cuts[static_cast<std::size_t>(s - 1)];
   const double hi = s == static_cast<int>(cuts.size())
-                        ? hi_[static_cast<std::size_t>(attr)]
+                        ? bins.hi()
                         : cuts[static_cast<std::size_t>(s)];
   return 0.5 * (lo + hi);
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace pdt::data {
 namespace {
 
@@ -88,6 +93,51 @@ TEST(Dataset, ContRange) {
   const auto [lo, hi] = ds.cont_range(1);
   EXPECT_DOUBLE_EQ(lo, -2.0);
   EXPECT_DOUBLE_EQ(hi, 9.5);
+}
+
+/// The std::invalid_argument message `f` throws ("" if it does not).
+template <class F>
+std::string rejection(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Dataset, RejectsLabelsOutsideClassRange) {
+  Dataset ds(tiny_schema());
+  EXPECT_EQ(rejection([&] { ds.add_row(-1); }),
+            "row 0, column class: label -1 is outside [0, 2)");
+  EXPECT_EQ(rejection([&] { ds.add_row(2); }),
+            "row 0, column class: label 2 is outside [0, 2)");
+  EXPECT_EQ(ds.num_rows(), 0u) << "a rejected label adds no row";
+  EXPECT_EQ(rejection([&] { ds.add_row(1); }), "");
+}
+
+TEST(Dataset, RejectsCategoriesOutsideCardinality) {
+  Dataset ds(tiny_schema());
+  ds.add_row(0);
+  ds.add_row(1);
+  EXPECT_EQ(rejection([&] { ds.set_cat(0, 1, 3); }),
+            "row 1, column color: category 3 is outside [0, 3)");
+  EXPECT_EQ(rejection([&] { ds.set_cat(2, 0, -1); }),
+            "row 0, column size: category -1 is outside [0, 4)");
+  EXPECT_EQ(rejection([&] { ds.set_cat(0, 1, 2); }), "");
+}
+
+TEST(Dataset, RejectsNonFiniteContinuousValues) {
+  Dataset ds(tiny_schema());
+  ds.add_row(0);
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const std::string msg = rejection([&] { ds.set_cont(1, 0, v); });
+    EXPECT_EQ(msg.rfind("row 0, column weight: value ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("is not finite"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(rejection([&] { ds.set_cont(1, 0, -1e308); }), "");
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "data/quest.hpp"
 
 namespace pdt::data {
@@ -28,6 +31,113 @@ TEST(BinOf, BoundaryValuesGoRight) {
   EXPECT_EQ(bin_of(4.0, cuts), 2);
   EXPECT_EQ(bin_of(100.0, cuts), 2);
   EXPECT_EQ(bin_of(-5.0, cuts), 0);
+}
+
+// UniformBins::bin must return exactly what bin_of (upper_bound) returns
+// over the same cuts, for every double: the trees depend on it.
+
+constexpr int kBinCounts[] = {2, 3, 32, 255, 256, 1024};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Values where rounding decides the bin: each cut, the doubles just
+/// below and above it, the range ends and both infinities.
+std::vector<double> edge_values(const UniformBins& bins) {
+  std::vector<double> out{bins.lo(), bins.hi(), -kInf, kInf,
+                          std::nextafter(bins.lo(), -kInf),
+                          std::nextafter(bins.hi(), kInf)};
+  for (const double c : bins.cuts()) {
+    out.push_back(c);
+    out.push_back(std::nextafter(c, -kInf));
+    out.push_back(std::nextafter(c, kInf));
+  }
+  return out;
+}
+
+/// Number of values where the O(1) lookup and the binary search disagree.
+int mismatches(const UniformBins& bins, const std::vector<double>& values) {
+  int bad = 0;
+  for (const double v : values) {
+    if (bins.bin(v) != bin_of(v, bins.cuts())) ++bad;
+  }
+  return bad;
+}
+
+TEST(UniformBins, CutsAreUniformBoundaries) {
+  for (const int k : kBinCounts) {
+    const UniformBins bins(-3.5, 17.25, k);
+    EXPECT_EQ(bins.count(), k);
+    EXPECT_EQ(bins.cuts(), uniform_boundaries(-3.5, 17.25, k));
+  }
+}
+
+TEST(UniformBins, MatchesUpperBoundOnEveryQuestValue) {
+  const Dataset ds = quest_generate(20000, {.function = 2, .seed = 1});
+  for (const int k : kBinCounts) {
+    for (int a = 0; a < ds.num_attributes(); ++a) {
+      if (!ds.schema().attr(a).is_continuous()) continue;
+      const auto [lo, hi] = ds.cont_range(a);
+      const UniformBins bins(lo, hi, k);
+      EXPECT_EQ(mismatches(bins, ds.cont_column(a)), 0)
+          << ds.schema().attr(a).name << " bins=" << k;
+      EXPECT_EQ(mismatches(bins, edge_values(bins)), 0)
+          << ds.schema().attr(a).name << " bins=" << k;
+    }
+  }
+}
+
+TEST(UniformBins, MatchesUpperBoundAtEdgesOfAwkwardRanges) {
+  // Ranges whose widths are not representable, tiny, huge or negative.
+  const std::pair<double, double> ranges[] = {
+      {0.1, 0.7},       {-1.0, 1.0},     {1e-300, 3e-300},
+      {-1e300, 1e300},  {1.0, 1.0 + 1e-12},
+      {20000.0, 150000.0}, {-7.3, -7.2999},
+      {1.0, std::nextafter(1.0, 2.0)}};
+  for (const auto& [lo, hi] : ranges) {
+    for (const int k : kBinCounts) {
+      const UniformBins bins(lo, hi, k);
+      EXPECT_EQ(mismatches(bins, edge_values(bins)), 0)
+          << "[" << lo << ", " << hi << "] bins=" << k;
+    }
+  }
+}
+
+TEST(UniformBins, ConstantColumn) {
+  // hi == lo: every cut equals lo, so lo and above go to the last bin.
+  for (const int k : kBinCounts) {
+    const UniformBins bins(4.0, 4.0, k);
+    EXPECT_EQ(bins.bin(4.0), k - 1);
+    EXPECT_EQ(bins.bin(kInf), k - 1);
+    EXPECT_EQ(bins.bin(std::nextafter(4.0, kInf)), k - 1);
+    EXPECT_EQ(bins.bin(std::nextafter(4.0, -kInf)), 0);
+    EXPECT_EQ(bins.bin(-kInf), 0);
+    EXPECT_EQ(mismatches(bins, edge_values(bins)), 0) << "bins=" << k;
+  }
+}
+
+TEST(UniformBins, RangeEndsAndInfinities) {
+  const UniformBins bins(65.0, 96.0, 4);
+  EXPECT_EQ(bins.bin(65.0), 0);
+  EXPECT_EQ(bins.bin(96.0), 3);
+  EXPECT_EQ(bins.bin(-kInf), 0);
+  EXPECT_EQ(bins.bin(kInf), 3);
+  EXPECT_EQ(bins.bin(-1e308), 0);
+  EXPECT_EQ(bins.bin(1e308), 3);
+}
+
+TEST(DiscretizeUniform, BinsMatchUpperBoundOverUniformBoundaries) {
+  const Dataset raw = quest_generate(5000, {.function = 2, .seed = 5});
+  const Dataset ds = discretize_uniform(raw, quest_paper_bins());
+  const std::vector<int> paper = quest_paper_bins();
+  for (int a = 0; a < raw.num_attributes(); ++a) {
+    if (!raw.schema().attr(a).is_continuous()) continue;
+    const auto [lo, hi] = raw.cont_range(a);
+    const auto cuts =
+        uniform_boundaries(lo, hi, paper[static_cast<std::size_t>(a)]);
+    for (std::size_t i = 0; i < raw.num_rows(); ++i) {
+      ASSERT_EQ(ds.cat(a, i), bin_of(raw.cont(a, i), cuts))
+          << raw.schema().attr(a).name << " row " << i;
+    }
+  }
 }
 
 TEST(DiscretizeUniform, QuestPaperBinsProduceAllCategorical) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "data/golf.hpp"
 #include "data/quest.hpp"
@@ -80,6 +82,37 @@ TEST(Csv, RejectsMalformedInput) {
 
   std::stringstream bad_row("x:cont,class:cat:2\n1.0\n");
   EXPECT_THROW((void)load_csv(bad_row), std::runtime_error);
+}
+
+/// The std::invalid_argument message load_csv throws for `text`.
+std::string csv_rejection(const std::string& text) {
+  std::stringstream in(text);
+  try {
+    (void)load_csv(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csv, RejectsOutOfRangeLabelsAndCategoriesByLine) {
+  const std::string header = "x:cont,c:cat:3,class:cat:2\n";
+  EXPECT_EQ(csv_rejection(header + "1.0,0,0\n1.0,0,-1\n"),
+            "csv line 3: row 1, column class: label -1 is outside [0, 2)");
+  EXPECT_EQ(csv_rejection(header + "1.0,0,2\n"),
+            "csv line 2: row 0, column class: label 2 is outside [0, 2)");
+  EXPECT_EQ(csv_rejection(header + "1.0,0,0\n\n1.0,3,1\n"),
+            "csv line 4: row 1, column c: category 3 is outside [0, 3)");
+  EXPECT_EQ(csv_rejection(header + "1.0,2,1\n"), "");
+}
+
+TEST(Csv, RejectsNonFiniteValuesByLine) {
+  const std::string header = "x:cont,class:cat:2\n";
+  for (const std::string v : {"nan", "inf", "-inf"}) {
+    const std::string msg = csv_rejection(header + "0.5,1\n" + v + ",0\n");
+    EXPECT_EQ(msg.rfind("csv line 3: row 1, column x: value ", 0), 0u) << msg;
+    EXPECT_NE(msg.find("is not finite"), std::string::npos) << msg;
+  }
 }
 
 TEST(Csv, FileRoundTrip) {

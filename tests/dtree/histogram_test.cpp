@@ -4,7 +4,9 @@
 
 #include <numeric>
 
+#include "data/discretize.hpp"
 #include "data/golf.hpp"
+#include "data/partition.hpp"
 #include "data/quest.hpp"
 
 namespace pdt::dtree {
@@ -52,6 +54,50 @@ TEST(Histogram, Table3HumidityBinaryTests) {
   EXPECT_DOUBLE_EQ(table[8].value, 96.0);
   EXPECT_EQ(table[8].le, (std::vector<std::int64_t>{9, 5}));
   EXPECT_EQ(table[8].gt, (std::vector<std::int64_t>{0, 0}));
+}
+
+/// The per-(row, attribute) loop accumulate must agree with: a kind
+/// check and a binary search over the cuts for every value.
+Hist naive_accumulate(const AttrLayout& layout, const SlotMapper& mapper,
+                      std::span<const data::RowId> rows) {
+  const data::Dataset& ds = mapper.dataset();
+  Hist h(static_cast<std::size_t>(layout.total()), 0);
+  for (const data::RowId row : rows) {
+    for (int a = 0; a < ds.num_attributes(); ++a) {
+      const int s = ds.schema().attr(a).is_categorical()
+                        ? ds.cat(a, row)
+                        : data::bin_of(ds.cont(a, row), mapper.boundaries(a));
+      ++h[static_cast<std::size_t>(layout.index(a, s, ds.label(row)))];
+    }
+  }
+  return h;
+}
+
+void expect_matches_naive(const data::Dataset& ds, int cont_bins) {
+  const SlotMapper mapper(ds, cont_bins);
+  const AttrLayout layout(ds.schema(), cont_bins);
+  // Scattered, partial row sets: each processor's share of a random
+  // distribution, plus every row.
+  data::RowPartition parts = data::partition_random(ds.num_rows(), 3, 17);
+  parts.push_back(all_rows(ds));
+  for (const auto& rows : parts) {
+    Hist h(static_cast<std::size_t>(layout.total()), 0);
+    accumulate(h, layout, mapper, rows);
+    EXPECT_EQ(h, naive_accumulate(layout, mapper, rows))
+        << rows.size() << " rows, " << cont_bins << " bins";
+  }
+}
+
+TEST(Histogram, AccumulateMatchesNaiveLoopOnGolf) {
+  for (const int bins : {2, 4, 32}) {
+    expect_matches_naive(data::golf_dataset(), bins);
+  }
+}
+
+TEST(Histogram, AccumulateMatchesNaiveLoopOnRawQuest) {
+  const data::Dataset ds =
+      data::quest_generate(5000, {.function = 2, .seed = 9});
+  for (const int bins : {3, 32, 256}) expect_matches_naive(ds, bins);
 }
 
 TEST(Histogram, AccumulateMatchesDirectCounts) {

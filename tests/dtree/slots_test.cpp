@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "data/golf.hpp"
 #include "data/quest.hpp"
 
@@ -37,24 +39,41 @@ TEST(AttrLayout, HistWordsMatchPaperFormulaForAllCategorical) {
   EXPECT_EQ(layout.total(), expected);
 }
 
+/// Slot of every row of the mapper's dataset under `attr`, in row order.
+std::vector<int> slots_of(const SlotMapper& mapper, int attr) {
+  std::vector<data::RowId> rows(mapper.dataset().num_rows());
+  std::iota(rows.begin(), rows.end(), data::RowId{0});
+  std::vector<int> out;
+  mapper.for_each_slot(attr, rows, [&](data::RowId row, int s) {
+    EXPECT_EQ(row, out.size());
+    out.push_back(s);
+  });
+  return out;
+}
+
 TEST(SlotMapper, CategoricalPassThrough) {
   const data::Dataset golf = data::golf_dataset();
   const SlotMapper mapper(golf, 4);
+  const auto outlook = slots_of(mapper, data::golf_attr::kOutlook);
+  const auto windy = slots_of(mapper, data::golf_attr::kWindy);
+  ASSERT_EQ(outlook.size(), golf.num_rows());
   for (std::size_t i = 0; i < golf.num_rows(); ++i) {
-    EXPECT_EQ(mapper.slot(data::golf_attr::kOutlook, i),
-              golf.cat(data::golf_attr::kOutlook, i));
-    EXPECT_EQ(mapper.slot(data::golf_attr::kWindy, i),
-              golf.cat(data::golf_attr::kWindy, i));
+    EXPECT_EQ(outlook[i], golf.cat(data::golf_attr::kOutlook, i));
+    EXPECT_EQ(windy[i], golf.cat(data::golf_attr::kWindy, i));
   }
 }
 
 TEST(SlotMapper, ContinuousBinsCoverRange) {
   const data::Dataset golf = data::golf_dataset();
   const SlotMapper mapper(golf, 4);
+  const auto humidity = slots_of(mapper, data::golf_attr::kHumidity);
+  ASSERT_EQ(humidity.size(), golf.num_rows());
   for (std::size_t i = 0; i < golf.num_rows(); ++i) {
-    const int s = mapper.slot(data::golf_attr::kHumidity, i);
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 4);
+    EXPECT_GE(humidity[i], 0);
+    EXPECT_LT(humidity[i], 4);
+    EXPECT_EQ(humidity[i],
+              mapper.slot_of_value(data::golf_attr::kHumidity,
+                                   golf.cont(data::golf_attr::kHumidity, i)));
   }
   // Humidity range [65, 96]: min maps to slot 0, max to slot 3.
   EXPECT_EQ(mapper.slot_of_value(data::golf_attr::kHumidity, 65.0), 0);
