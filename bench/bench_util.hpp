@@ -390,12 +390,8 @@ inline void emit_mem_run(BenchReport& rep, const char* tag, int procs,
 /// a "host" member (pdt-host-v1: the wall-nanosecond account paired
 /// cell-for-cell with the virtual breakdown), the events log gains a
 /// "host" overlay, and <harness>.<tag>.host.json carries the standalone
-/// report. <harness>.<tag>.threads.json carries the pdt-threads-v1
-/// concurrency telemetry (shard census, merge provenance, lock
-/// contention); the envelope gains a "threads" member only when the run
-/// was actually concurrent. All side files go through AtomicFile (temp +
-/// rename), so a killed harness never leaves a torn artifact for the CI
-/// gates.
+/// report. All side files go through AtomicFile (temp + rename), so a
+/// killed harness never leaves a torn artifact for the CI gates.
 inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
                                         core::Formulation f,
                                         const data::Dataset& ds,
@@ -432,22 +428,6 @@ inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
     if (o.host_profiler() != nullptr) {
       w->key("host");
       obs::write_host(*w, *o.host_profiler());
-    }
-    // Concurrency telemetry joins the envelope only when the run was
-    // actually concurrent (several shards, or samples dropped) — the
-    // serial harnesses keep their pre-threads envelope bytes. The
-    // standalone <harness>.<tag>.threads.json below is always written.
-    {
-      const obs::ThreadRegistry::Stats treg =
-          obs::ThreadRegistry::instance().stats();
-      const bool threaded =
-          treg.peak_active > 1 || treg.overflow > 0 ||
-          o.profiler().dropped() > 0 || o.mem_ledger().dropped() > 0 ||
-          (o.event_log() != nullptr && o.event_log()->ring_dropped() > 0);
-      if (threaded) {
-        w->key("threads");
-        obs::write_threads(*w, o);
-      }
     }
     w->end_object();
 
@@ -489,18 +469,6 @@ inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
         if (host_file.commit()) {
           std::printf("[json] wrote %s (host wall-clock account)\n",
                       host_file.path().c_str());
-        }
-      }
-    }
-
-    {
-      obs::AtomicFile threads_file(json_path(
-          std::string(rep.harness()) + "." + tag + ".threads.json"));
-      if (threads_file.ok()) {
-        obs::write_threads_report(threads_file.stream(), o);
-        if (threads_file.commit()) {
-          std::printf("[json] wrote %s (concurrency telemetry)\n",
-                      threads_file.path().c_str());
         }
       }
     }

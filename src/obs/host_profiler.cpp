@@ -33,7 +33,8 @@ HostProfiler::HostProfiler(const PhaseProfiler* stamps, HostClock* clock,
   if (cfg_.counters && counter_group_.open()) counter_group_.start();
 }
 
-void HostProfiler::grow_cells(ShardState& s) {
+void HostProfiler::grow_cells() {
+  State& s = state_;
   std::vector<Cell> bigger(s.cells.size() * 2);
   for (const Cell& c : s.cells) {
     if (c.key == ~0ull) continue;
@@ -45,14 +46,14 @@ void HostProfiler::grow_cells(ShardState& s) {
   s.last_hit = static_cast<std::size_t>(-1);
 }
 
-HostTotals& HostProfiler::cell(ShardState& s, PhaseId p, int level,
-                               mpsim::Rank r) {
+HostTotals& HostProfiler::cell(PhaseId p, int level, mpsim::Rank r) {
+  State& s = state_;
   const std::uint64_t key = pack(p, level, r);
   if (s.last_hit != static_cast<std::size_t>(-1) &&
       s.cells[s.last_hit].key == key) {
     return s.cells[s.last_hit].totals;
   }
-  if (s.cells_used * 2 >= s.cells.size()) grow_cells(s);
+  if (s.cells_used * 2 >= s.cells.size()) grow_cells();
   std::size_t i = hash64(key) & (s.cells.size() - 1);
   while (s.cells[i].key != ~0ull && s.cells[i].key != key) {
     i = (i + 1) & (s.cells.size() - 1);
@@ -66,35 +67,31 @@ HostTotals& HostProfiler::cell(ShardState& s, PhaseId p, int level,
 }
 
 void HostProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind) {
-  ShardState* s = shards_.local();
-  if (s == nullptr) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
+  State& s = state_;
   const std::int64_t now = clock_->now_ns();
-  if (!s->started) {
+  if (!s.started) {
     // The first charge only anchors the interval chain: host work before
     // it belongs to setup (dataset generation, machine construction),
     // not to any simulated segment.
-    s->started = true;
-    s->last_ns = now;
+    s.started = true;
+    s.last_ns = now;
     return;
   }
-  std::int64_t dt = now - s->last_ns;
+  std::int64_t dt = now - s.last_ns;
   if (dt < 0) {
     // A monotonic clock should never step backwards; clamp to zero but
     // leave the evidence on the clamp counter rather than hiding it.
     dt = 0;
-    ++s->clamped;
+    ++s.clamped;
   }
-  s->last_ns = now;
+  s.last_ns = now;
 
-  s->num_ranks = std::max(s->num_ranks, r + 1);
+  s.num_ranks = std::max(s.num_ranks, r + 1);
   const PhaseId p = stamps_ != nullptr ? stamps_->current_phase() : 0;
   const int level = stamps_ != nullptr ? stamps_->current_level() : kNoLevel;
-  s->max_level = std::max(s->max_level, level);
+  s.max_level = std::max(s.max_level, level);
 
-  HostTotals& t = cell(*s, p, level, r);
+  HostTotals& t = cell(p, level, r);
   switch (kind) {
     case mpsim::ChargeKind::Compute: t.compute_ns += dt; break;
     case mpsim::ChargeKind::Comm: t.comm_ns += dt; break;
@@ -102,73 +99,8 @@ void HostProfiler::on_charge(mpsim::Rank r, mpsim::ChargeKind kind) {
     case mpsim::ChargeKind::Idle: t.idle_ns += dt; break;
   }
   ++t.samples;
-  s->total_ns += dt;
-  ++s->samples;
-}
-
-void HostProfiler::merge() {
-  shards_.for_each_mut([&](int i, ShardState& s) {
-    merged_samples_.push_back(ShardSample{i, s.samples});
-    for (const Cell& c : s.cells) {
-      if (c.key == ~0ull) continue;
-      const auto p = static_cast<PhaseId>(c.key >> 40);
-      const int level = static_cast<int>((c.key >> 20) & 0xFFFFFu) - 1;
-      const auto r = static_cast<mpsim::Rank>(c.key & 0xFFFFFu);
-      cell(merged_, p, level, r) += c.totals;
-    }
-    merged_.total_ns += s.total_ns;
-    merged_.samples += s.samples;
-    merged_.clamped += s.clamped;
-    merged_.num_ranks = std::max(merged_.num_ranks, s.num_ranks);
-    merged_.max_level = std::max(merged_.max_level, s.max_level);
-    // Reset the shard but keep the owner's interval anchor, so charges
-    // after the merge keep attributing host time correctly.
-    const bool started = s.started;
-    const std::int64_t last_ns = s.last_ns;
-    s = ShardState{};
-    s.started = started;
-    s.last_ns = last_ns;
-  });
-}
-
-std::vector<ShardSample> HostProfiler::shard_samples() const {
-  std::vector<ShardSample> out;
-  shards_.for_each([&](int i, const ShardState& s) {
-    out.push_back(ShardSample{i, s.samples});
-  });
-  return out;
-}
-
-std::int64_t HostProfiler::total_ns() const {
-  std::int64_t n = merged_.total_ns;
-  shards_.for_each([&](int, const ShardState& s) { n += s.total_ns; });
-  return n;
-}
-
-std::uint64_t HostProfiler::samples() const {
-  std::uint64_t n = merged_.samples;
-  shards_.for_each([&](int, const ShardState& s) { n += s.samples; });
-  return n;
-}
-
-std::uint64_t HostProfiler::clamped() const {
-  std::uint64_t n = merged_.clamped;
-  shards_.for_each([&](int, const ShardState& s) { n += s.clamped; });
-  return n;
-}
-
-int HostProfiler::num_ranks() const {
-  int n = merged_.num_ranks;
-  shards_.for_each(
-      [&](int, const ShardState& s) { n = std::max(n, s.num_ranks); });
-  return n;
-}
-
-int HostProfiler::max_level() const {
-  int l = merged_.max_level;
-  shards_.for_each(
-      [&](int, const ShardState& s) { l = std::max(l, s.max_level); });
-  return l;
+  s.total_ns += dt;
+  ++s.samples;
 }
 
 std::vector<HostProfiler::Row> HostProfiler::rows() const {
@@ -181,21 +113,11 @@ std::vector<HostProfiler::Row> HostProfiler::rows() const {
     row.totals = c.totals;
     out.push_back(row);
   });
-  std::stable_sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
+  std::sort(out.begin(), out.end(), [](const Row& a, const Row& b) {
     if (a.phase != b.phase) return a.phase < b.phase;
     if (a.level != b.level) return a.level < b.level;
     return a.rank < b.rank;
   });
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (w > 0 && out[w - 1].phase == out[i].phase &&
-        out[w - 1].level == out[i].level && out[w - 1].rank == out[i].rank) {
-      out[w - 1].totals += out[i].totals;
-    } else {
-      out[w++] = out[i];
-    }
-  }
-  out.resize(w);
   return out;
 }
 

@@ -15,12 +15,8 @@
 // ObserverFanout) and can never change simulated time or the byte
 // accounts themselves.
 //
-// Thread-safety (DESIGN.md §14): shard-per-thread. Events accumulate in
-// the calling thread's shard (stamped through the profiler's per-thread
-// scope state); folding accessors iterate shards in shard-id order
-// after writers quiesce. Peaks fold additively — the sum of per-shard
-// peaks is an upper bound on the true concurrent peak (exact for one
-// shard, so single-thread exports stay byte-identical).
+// Events arrive on the one thread that drives the Machine (DESIGN.md
+// §14), so the accounts and cells are plain members.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +26,6 @@
 #include "mpsim/observer.hpp"
 #include "mpsim/stats.hpp"
 #include "obs/phase.hpp"
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 
@@ -45,18 +40,16 @@ class MemLedger {
   void on_free(mpsim::Rank r, mpsim::MemTag tag, std::int64_t bytes);
 
   /// Number of ranks seen (== 1 + max rank that charged memory).
-  [[nodiscard]] int num_ranks() const;
+  [[nodiscard]] int num_ranks() const {
+    return static_cast<int>(state_.ranks.size());
+  }
   [[nodiscard]] std::int64_t live_bytes(mpsim::Rank r) const;
   [[nodiscard]] std::int64_t peak_bytes(mpsim::Rank r) const;
   /// Total bytes ever charged / released by rank r. Equal at algorithm
   /// teardown: every structure the run allocates, it must release.
   [[nodiscard]] std::int64_t charged_bytes(mpsim::Rank r) const;
   [[nodiscard]] std::int64_t released_bytes(mpsim::Rank r) const;
-  [[nodiscard]] std::uint64_t events() const;
-  /// Events dropped because the thread registry ran out of shard ids.
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t events() const { return state_.events; }
 
   /// One (tag, phase, level, rank) attribution cell.
   struct Row {
@@ -76,16 +69,6 @@ class MemLedger {
   [[nodiscard]] std::vector<Row> top_segments(mpsim::Rank r,
                                               std::size_t k) const;
 
-  /// Fold every live shard into the merged store in shard-id order,
-  /// recording provenance and resetting the folded shards.
-  /// Quiesced-callers only; single-thread runs never need it.
-  void merge();
-  /// Live per-shard event counts, in shard-id order.
-  [[nodiscard]] std::vector<ShardSample> shard_samples() const;
-  [[nodiscard]] const std::vector<ShardSample>& merged_samples() const {
-    return merged_samples_;
-  }
-
   /// Analytic Section-4 prediction for the run this ledger observed,
   /// recorded by the formulation at setup time (empty if none was set).
   void set_predicted(const mpsim::MemPredicted& p) { predicted_ = p; }
@@ -101,20 +84,12 @@ class MemLedger {
     std::int64_t peak = 0;
     std::int64_t charged = 0;
     std::int64_t released = 0;
-
-    RankAccount& operator+=(const RankAccount& o) {
-      live += o.live;
-      peak += o.peak;
-      charged += o.charged;
-      released += o.released;
-      return *this;
-    }
   };
   struct Cell {
     std::int64_t live = 0;
     std::int64_t peak = 0;
   };
-  struct ShardState {
+  struct State {
     std::vector<RankAccount> ranks;
     // Ordered map keyed (tag, phase, level+1, rank) packed MSB-first, so
     // iteration order == export order. Memory events are per level / per
@@ -123,20 +98,15 @@ class MemLedger {
     std::uint64_t events = 0;
   };
 
-  static void ensure_rank(ShardState& s, mpsim::Rank r);
+  /// Rank r's account, created on first use.
+  RankAccount& account(mpsim::Rank r);
   [[nodiscard]] std::uint64_t key(mpsim::MemTag tag, mpsim::Rank r) const;
-  /// Per-rank accounts folded across shards for rank r.
+  /// Rank r's account, or an empty one if r never charged memory.
   [[nodiscard]] RankAccount rank_account(mpsim::Rank r) const;
-  /// All cells folded across shards into one ordered map (live and peak
-  /// both sum; see the peak caveat above).
-  [[nodiscard]] std::map<std::uint64_t, Cell> folded_cells() const;
 
   const PhaseProfiler* profiler_;
   mpsim::MemPredicted predicted_;
-  ShardSlots<ShardState> shards_{"obs.mem.shards"};
-  ShardState merged_;
-  std::vector<ShardSample> merged_samples_;
-  std::atomic<std::uint64_t> dropped_{0};
+  State state_;
 };
 
 }  // namespace pdt::obs

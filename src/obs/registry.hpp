@@ -5,15 +5,8 @@
 // registry, so call sites resolve a metric once and update it with a
 // single null-check branch when observability is disabled.
 //
-// Thread-safety (DESIGN.md §14): shard-per-thread. A handle resolves
-// into the *calling thread's* shard and is thread-affine — each worker
-// resolves its own handles and updates them lock-free; the exporting
-// accessors return merged-by-value maps folded in shard-id order
-// (counters sum, gauges last-set-in-shard-order wins, histograms fold
-// bucket-wise). One thread ⇒ one shard ⇒ exports byte-identical to the
-// pre-sharding registry. Threads beyond kMaxShards share a
-// lock-protected overflow shard (lookup is serialized; such runs are
-// out of the determinism contract anyway).
+// The registry is updated and read by the one thread that drives the
+// Machine (DESIGN.md §14).
 #pragma once
 
 #include <algorithm>
@@ -21,11 +14,8 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-
-#include "obs/threads.hpp"
 
 namespace pdt::obs {
 
@@ -37,29 +27,18 @@ class Counter {
   void inc() { value_ += 1.0; }
   [[nodiscard]] double value() const { return value_; }
 
-  Counter& operator+=(const Counter& o) {
-    value_ += o.value_;
-    return *this;
-  }
-
  private:
   double value_ = 0.0;
 };
 
-/// Last-write-wins instantaneous value. Tracks whether it was ever set,
-/// so the cross-shard fold can tell "set to 0" from "never touched".
+/// Last-write-wins instantaneous value.
 class Gauge {
  public:
-  void set(double v) {
-    value_ = v;
-    set_ = true;
-  }
+  void set(double v) { value_ = v; }
   [[nodiscard]] double value() const { return value_; }
-  [[nodiscard]] bool is_set() const { return set_; }
 
  private:
   double value_ = 0.0;
-  bool set_ = false;
 };
 
 /// Distribution summary: count/sum/min/max plus base-2 exponential
@@ -101,19 +80,6 @@ class Histogram {
     return std::min(b, kBuckets - 1);
   }
 
-  Histogram& operator+=(const Histogram& o) {
-    if (o.count_ == 0) return *this;
-    min_ = count_ == 0 ? o.min_ : std::min(min_, o.min_);
-    max_ = count_ == 0 ? o.max_ : std::max(max_, o.max_);
-    count_ += o.count_;
-    sum_ += o.sum_;
-    for (int i = 0; i < kBuckets; ++i) {
-      buckets_[static_cast<std::size_t>(i)] +=
-          o.buckets_[static_cast<std::size_t>(i)];
-    }
-    return *this;
-  }
-
  private:
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
@@ -127,105 +93,34 @@ class Histogram {
 class MetricsRegistry {
  public:
   [[nodiscard]] Counter& counter(std::string_view name) {
-    if (ShardState* s = shards_.local()) return s->counters[std::string(name)];
-    std::lock_guard<InstrumentedMutex> g(overflow_mu_);
-    return overflow_.counters[std::string(name)];
+    return state_.counters[std::string(name)];
   }
   [[nodiscard]] Gauge& gauge(std::string_view name) {
-    if (ShardState* s = shards_.local()) return s->gauges[std::string(name)];
-    std::lock_guard<InstrumentedMutex> g(overflow_mu_);
-    return overflow_.gauges[std::string(name)];
+    return state_.gauges[std::string(name)];
   }
   [[nodiscard]] Histogram& histogram(std::string_view name) {
-    if (ShardState* s = shards_.local()) {
-      return s->histograms[std::string(name)];
-    }
-    std::lock_guard<InstrumentedMutex> g(overflow_mu_);
-    return overflow_.histograms[std::string(name)];
+    return state_.histograms[std::string(name)];
   }
 
-  /// Merged views, folded in shard-id order (quiesced-callers only).
-  [[nodiscard]] std::map<std::string, Counter> counters() const {
-    std::map<std::string, Counter> out = merged_.counters;
-    for_each_shard([&](const ShardState& s) {
-      for (const auto& [name, c] : s.counters) out[name] += c;
-    });
-    return out;
+  [[nodiscard]] const std::map<std::string, Counter>& counters() const {
+    return state_.counters;
   }
-  [[nodiscard]] std::map<std::string, Gauge> gauges() const {
-    std::map<std::string, Gauge> out = merged_.gauges;
-    for_each_shard([&](const ShardState& s) {
-      for (const auto& [name, g] : s.gauges) {
-        Gauge& dst = out[name];
-        if (g.is_set()) dst.set(g.value());
-      }
-    });
-    return out;
+  [[nodiscard]] const std::map<std::string, Gauge>& gauges() const {
+    return state_.gauges;
   }
-  [[nodiscard]] std::map<std::string, Histogram> histograms() const {
-    std::map<std::string, Histogram> out = merged_.histograms;
-    for_each_shard([&](const ShardState& s) {
-      for (const auto& [name, h] : s.histograms) out[name] += h;
-    });
-    return out;
-  }
-
-  /// Fold every live shard into the merged store in shard-id order,
-  /// recording provenance and resetting the folded shards. Resetting
-  /// destroys the shard maps, so a merge() invalidates every previously
-  /// resolved handle — re-resolve afterwards (quiesced-callers only).
-  void merge() {
-    shards_.for_each_mut([&](int i, ShardState& s) {
-      merged_samples_.push_back(ShardSample{i, s.size()});
-      for (const auto& [name, c] : s.counters) merged_.counters[name] += c;
-      for (const auto& [name, g] : s.gauges) {
-        Gauge& dst = merged_.gauges[name];
-        if (g.is_set()) dst.set(g.value());
-      }
-      for (const auto& [name, h] : s.histograms) {
-        merged_.histograms[name] += h;
-      }
-      s = ShardState{};
-    });
-  }
-
-  /// Live per-shard distinct-metric counts, in shard-id order.
-  [[nodiscard]] std::vector<ShardSample> shard_samples() const {
-    std::vector<ShardSample> out;
-    shards_.for_each([&](int i, const ShardState& s) {
-      out.push_back(ShardSample{i, s.size()});
-    });
-    return out;
-  }
-  [[nodiscard]] const std::vector<ShardSample>& merged_samples() const {
-    return merged_samples_;
+  [[nodiscard]] const std::map<std::string, Histogram>& histograms() const {
+    return state_.histograms;
   }
 
  private:
-  struct ShardState {
+  struct State {
     // std::map node stability keeps handles valid across later
     // insertions.
     std::map<std::string, Counter> counters;
     std::map<std::string, Gauge> gauges;
     std::map<std::string, Histogram> histograms;
-
-    [[nodiscard]] std::uint64_t size() const {
-      return counters.size() + gauges.size() + histograms.size();
-    }
   };
-
-  template <typename Fn>
-  void for_each_shard(Fn&& fn) const {
-    shards_.for_each([&](int, const ShardState& s) { fn(s); });
-    std::lock_guard<InstrumentedMutex> g(overflow_mu_);
-    fn(overflow_);
-  }
-
-  ShardSlots<ShardState> shards_{"obs.metrics.shards"};
-  ShardState merged_;
-  std::vector<ShardSample> merged_samples_;
-  mutable InstrumentedMutex overflow_mu_{"obs.metrics.overflow"};
-  ShardState overflow_;
+  State state_;
 };
 
 }  // namespace pdt::obs

@@ -8,6 +8,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
@@ -381,6 +382,18 @@ TEST(HostExport, EventsLogWithoutHostStaysHostFree) {
   EXPECT_EQ(hosted_no_overlay.str(), plain_os.str())
       << "host profiler must not perturb the recorded event stream";
   EXPECT_EQ(hosted_no_overlay.str().find("\"host\""), std::string::npos);
+}
+
+TEST(WriteThreads, EmitsOnlySchemaAndHardwareConcurrency) {
+  Observability o;
+  o.metrics().counter("export.count").inc();
+  std::ostringstream a;
+  write_threads_report(a, o);
+  const std::string expected =
+      "{\"schema\":\"pdt-threads-v1\",\"hardware_concurrency\":" +
+      std::to_string(std::thread::hardware_concurrency()) + "}\n";
+  EXPECT_EQ(a.str(), expected);
+  EXPECT_TRUE(JsonChecker(a.str()).valid());
 }
 
 }  // namespace

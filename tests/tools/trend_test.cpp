@@ -489,76 +489,52 @@ TEST(TrendFt, TreeDivergenceIsAnUnconditionalRegression) {
   EXPECT_NE(doc.find("\"tree_identical\": false"), std::string::npos);
 }
 
-/// The hybrid.P8 envelope with a pdt-threads-v1 overlay riding on the
-/// instrumented run: two lossy collectors and one contended lock.
-std::string threads_envelope(double time_us, double build_ns,
-                             double comm_ns) {
-  std::string text = envelope(time_us, build_ns, comm_ns);
-  const std::string anchor = "\"host\": {";
-  const std::size_t at = text.find(anchor);
-  EXPECT_NE(at, std::string::npos);
-  text.insert(at, R"("threads": {
-    "schema": "pdt-threads-v1", "hardware_concurrency": 16,
-    "max_shards": 256,
-    "registry": {"registered": 9, "overflow": 0, "active": 9,
-                 "peak_active": 9},
-    "collectors": [
-      {"name": "phase", "samples": 100, "shards": [], "merge_order": [],
-       "dropped": 2},
-      {"name": "mem", "samples": 200, "shards": [], "merge_order": [],
-       "dropped": 3}
-    ],
-    "drops": {"phase": 2, "mem": 3},
-    "locks": [
-      {"name": "obs.phase.names", "acquisitions": 40, "contended": 4,
-       "wait_ns": 1500000.0}
-    ]
-  }, )");
-  return text;
-}
-
-TEST(TrendThreads, RecordExtractsAndRegistryRoundTripsThreadsTuples) {
-  const std::vector<ReportInput> inputs{
-      parse("r0.json", threads_envelope(1000.0, 80e6, 20e6)),
-      parse("r1.json", threads_envelope(1000.0, 81e6, 20e6))};
-  RunRecord rec = record_from_envelopes(inputs);
-  rec.seq = 1;
-  rec.timestamp = "2026-08-01T00:00:00Z";
-  ASSERT_EQ(rec.threads.size(), 1u) << "repeats dedupe to one tuple";
-  EXPECT_EQ(rec.threads[0].harness, "fig6_speedup");
-  EXPECT_EQ(rec.threads[0].tag, "hybrid.P8");
-  EXPECT_EQ(rec.threads[0].formulation, "hybrid");
-  EXPECT_EQ(rec.threads[0].procs, 8);
-  EXPECT_EQ(rec.threads[0].peak_active, 9);
-  EXPECT_EQ(rec.threads[0].dropped, 2 + 3) << "summed across collectors";
-  EXPECT_EQ(rec.threads[0].contended, 4);
-  EXPECT_EQ(rec.threads[0].wait_ns, 1500000);
-
-  std::vector<RunRecord> back;
-  std::string error;
-  ASSERT_TRUE(parse_registry(record_line(rec), &back, &error)) << error;
-  ASSERT_EQ(back.size(), 1u);
-  ASSERT_EQ(back[0].threads.size(), 1u);
-  EXPECT_EQ(back[0].threads[0].tag, "hybrid.P8");
-  EXPECT_EQ(back[0].threads[0].peak_active, 9);
-  EXPECT_EQ(back[0].threads[0].wait_ns, 1500000);
-  EXPECT_EQ(record_line(back[0]), record_line(rec));
-}
-
 TEST(TrendThreads, SingleThreadedRunsOmitTheKeyAndOldLinesParseClean) {
-  // A run with no threads overlay must serialize byte-identically to a
-  // registry line written before the telemetry existed: no "threads"
-  // key at all, and such lines parse back to an empty list.
+  // Registry lines carry no "threads" key, and parse back to a record
+  // that re-serializes byte-identically.
   const RunRecord rec = record(1, 1000.0, 80e6, 20e6);
-  EXPECT_TRUE(rec.threads.empty());
   const std::string line = record_line(rec);
   EXPECT_EQ(line.find("\"threads\""), std::string::npos) << line;
   std::vector<RunRecord> back;
   std::string error;
   ASSERT_TRUE(parse_registry(line, &back, &error)) << error;
   ASSERT_EQ(back.size(), 1u);
-  EXPECT_TRUE(back[0].threads.empty());
   EXPECT_EQ(record_line(back[0]), line);
+}
+
+TEST(TrendThreads, LinesCarryingAThreadsArrayStillParseCheckAndExplain) {
+  // Registries written while pdt-trend still folded pdt-threads-v1
+  // telemetry end each line with a "threads" array. Such lines must keep
+  // parsing (the array is ignored), and check/explain must run on them.
+  const std::string kThreads =
+      R"(, "threads": [{"harness": "fig6_speedup", "tag": "hybrid.P8", )"
+      R"("formulation": "hybrid", "procs": 8, "peak_active": 9, )"
+      R"("dropped": 5, "contended": 4, "wait_ns": 1500000}]})";
+  std::string text;
+  std::vector<RunRecord> expected;
+  for (int s = 1; s <= 3; ++s) {
+    expected.push_back(record(s, 1000.0, 80e6, 20e6));
+    std::string line = record_line(expected.back());
+    ASSERT_EQ(line.back(), '}');
+    line.pop_back();
+    text += line + kThreads + "\n";
+  }
+  std::vector<RunRecord> runs;
+  std::string error;
+  ASSERT_TRUE(parse_registry(text, &runs, &error)) << error;
+  ASSERT_EQ(runs.size(), expected.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    EXPECT_EQ(record_line(runs[i]), record_line(expected[i]));
+  }
+
+  std::ostringstream check_os;
+  EXPECT_EQ(run_trend_check(runs, TrendOptions{}, check_os, nullptr), 0)
+      << check_os.str();
+  std::ostringstream explain_os;
+  EXPECT_TRUE(
+      run_trend_explain(runs, "hybrid.P8", TrendOptions{}, explain_os));
+  EXPECT_NE(explain_os.str().find("top cells"), std::string::npos)
+      << explain_os.str();
 }
 
 TEST(TrendThreads, ExplainAttributesEnvAndTelemetryChanges) {
@@ -573,36 +549,21 @@ TEST(TrendThreads, ExplainAttributesEnvAndTelemetryChanges) {
                              "cores": 16, "pdt_threads": "16"})",
                          &runs[1].fingerprint, &error))
       << error;
-  TrendThreadsTuple t;
-  t.harness = "fig6_speedup";
-  t.tag = "hybrid.P8";
-  t.formulation = "hybrid";
-  t.procs = 8;
-  t.peak_active = 9;
-  t.dropped = 5;
-  t.contended = 4;
-  t.wait_ns = 1500000;
-  runs[1].threads.push_back(t);
 
   std::ostringstream os;
   EXPECT_TRUE(run_trend_explain(runs, "hybrid.P8", TrendOptions{}, os));
   const std::string out = os.str();
   EXPECT_NE(out.find("cores: 8 -> 16"), std::string::npos) << out;
   EXPECT_NE(out.find("PDT_THREADS: (unset) -> 16"), std::string::npos) << out;
-  EXPECT_NE(out.find("threads: peak_active - -> 9, dropped - -> 5, "
-                     "contended - -> 4 (wait 1.500 ms)"),
-            std::string::npos)
-      << out;
 
-  // A stable machine with no telemetry prints none of the attribution
-  // lines — explanations stay byte-stable across the feature.
+  // A stable machine prints none of the attribution lines — explanations
+  // stay byte-stable across the feature.
   std::vector<RunRecord> flat{record(1, 1000.0, 80e6, 20e6),
                               record(2, 1000.0, 90e6, 20e6)};
   std::ostringstream os2;
   EXPECT_TRUE(run_trend_explain(flat, "hybrid.P8", TrendOptions{}, os2));
   EXPECT_EQ(os2.str().find("cores:"), std::string::npos) << os2.str();
   EXPECT_EQ(os2.str().find("PDT_THREADS:"), std::string::npos);
-  EXPECT_EQ(os2.str().find("threads:"), std::string::npos);
 }
 
 TEST(TrendExplain, FilterSelectsTuplesAndMissingFilterReportsCleanly) {

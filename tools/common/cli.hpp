@@ -22,7 +22,7 @@ inline constexpr int kExitFail = 1;
 inline constexpr int kExitUsage = 2;
 
 /// One version string for the whole tool suite, bumped with the schemas.
-inline constexpr const char* kToolsVersion = "0.10.0";
+inline constexpr const char* kToolsVersion = "0.11.0";
 
 struct CliSpec {
   const char* tool;   ///< binary name, e.g. "pdt-report"

@@ -75,11 +75,6 @@ std::string ft_name(const TrendFtTuple& f) {
          " " + f.scenario;
 }
 
-bool same_threads(const TrendThreadsTuple& a, const TrendThreadsTuple& b) {
-  return a.harness == b.harness && a.tag == b.tag &&
-         a.formulation == b.formulation && a.procs == b.procs;
-}
-
 }  // namespace
 
 // -------------------------------------------------------------- registry --
@@ -190,21 +185,6 @@ bool parse_registry(std::string_view text, std::vector<RunRecord>* out,
       }
       rec.ft.push_back(std::move(f));
     }
-    // "threads" is absent from registries written before the
-    // concurrency telemetry existed — an empty list then.
-    for (const JsonValue& e : root.get("threads").array()) {
-      TrendThreadsTuple t;
-      t.harness = e.get("harness").as_string();
-      t.tag = e.get("tag").as_string();
-      t.formulation = e.get("formulation").as_string();
-      t.procs = e.get("procs").as_int();
-      t.peak_active = e.get("peak_active").as_int();
-      t.dropped = e.get("dropped").as_int();
-      t.contended = e.get("contended").as_int();
-      t.wait_ns = e.get("wait_ns").as_int();
-      if (t.harness.empty()) return fail("threads tuple missing harness");
-      rec.threads.push_back(std::move(t));
-    }
     for (const JsonValue& e : root.get("blame").array()) {
       TrendBlameEdge b;
       b.idler = e.get("idler").as_int();
@@ -293,23 +273,6 @@ std::string record_line(const RunRecord& rec) {
        << "\", \"idle_us\": " << json_double_exact(b.idle_us) << "}";
   }
   os << "]";
-  // Omitted when empty so registries written before the concurrency
-  // telemetry existed re-serialize byte-identically.
-  if (!rec.threads.empty()) {
-    os << ", \"threads\": [";
-    for (std::size_t i = 0; i < rec.threads.size(); ++i) {
-      const TrendThreadsTuple& t = rec.threads[i];
-      os << (i == 0 ? "" : ", ") << "{\"harness\": \""
-         << json_escaped(t.harness) << "\", \"tag\": \""
-         << json_escaped(t.tag) << "\", \"formulation\": \""
-         << json_escaped(t.formulation) << "\", \"procs\": " << t.procs
-         << ", \"peak_active\": " << t.peak_active
-         << ", \"dropped\": " << t.dropped
-         << ", \"contended\": " << t.contended
-         << ", \"wait_ns\": " << t.wait_ns << "}";
-    }
-    os << "]";
-  }
   os << "}";
   return os.str();
 }
@@ -408,30 +371,6 @@ RunRecord record_from_envelopes(const std::vector<ReportInput>& inputs) {
         continue;
       }
       if (sec.get("type").as_string() != "instrumented_run") continue;
-      // Concurrency telemetry rides along when the envelope carries a
-      // pdt-threads-v1 overlay (only multithreaded or lossy runs do).
-      // First sighting per key wins, like the other section tuples.
-      const JsonValue& thr = sec.get("threads");
-      if (!thr.is_null()) {
-        TrendThreadsTuple t;
-        t.harness = harness;
-        t.tag = sec.get("tag").as_string();
-        t.formulation = sec.get("formulation").as_string();
-        t.procs = sec.get("procs").as_int();
-        t.peak_active = thr.get("registry").get("peak_active").as_int();
-        for (const JsonValue& c : thr.get("collectors").array()) {
-          t.dropped += c.get("dropped").as_int();
-        }
-        for (const JsonValue& l : thr.get("locks").array()) {
-          t.contended += l.get("contended").as_int();
-          t.wait_ns += l.get("wait_ns").as_int();
-        }
-        bool seen = false;
-        for (const TrendThreadsTuple& u : rec.threads) {
-          seen = seen || same_threads(u, t);
-        }
-        if (!seen) rec.threads.push_back(std::move(t));
-      }
       const JsonValue& host = sec.get("host");
       if (host.is_null()) continue;
       HostEntry key;
@@ -1086,41 +1025,6 @@ bool run_trend_explain(const std::vector<RunRecord>& runs,
          << " — requested thread count changed between the runs\n";
     }
 
-    // Concurrency-telemetry deltas for this tuple when both records
-    // carry one: new sample drops or lock contention on the latest side
-    // point at the observability runtime, not the algorithm.
-    const TrendThreadsTuple* t_before = nullptr;
-    const TrendThreadsTuple* t_after = nullptr;
-    for (const TrendThreadsTuple& t : before_rec->threads) {
-      if (t.harness == after->entry.harness && t.tag == after->entry.tag &&
-          t.formulation == after->entry.formulation &&
-          t.procs == after->entry.procs) {
-        t_before = &t;
-      }
-    }
-    for (const TrendThreadsTuple& t : latest.threads) {
-      if (t.harness == after->entry.harness && t.tag == after->entry.tag &&
-          t.formulation == after->entry.formulation &&
-          t.procs == after->entry.procs) {
-        t_after = &t;
-      }
-    }
-    if (t_after != nullptr &&
-        (t_before == nullptr || t_before->peak_active != t_after->peak_active ||
-         t_before->dropped != t_after->dropped ||
-         t_before->contended != t_after->contended)) {
-      os << "  threads: peak_active "
-         << (t_before != nullptr ? std::to_string(t_before->peak_active)
-                                 : std::string("-"))
-         << " -> " << t_after->peak_active << ", dropped "
-         << (t_before != nullptr ? std::to_string(t_before->dropped)
-                                 : std::string("-"))
-         << " -> " << t_after->dropped << ", contended "
-         << (t_before != nullptr ? std::to_string(t_before->contended)
-                                 : std::string("-"))
-         << " -> " << t_after->contended << " (wait "
-         << fmt_ms(static_cast<double>(t_after->wait_ns)) << " ms)\n";
-    }
     if (before->cells.empty() || after->cells.empty()) {
       os << "  (no per-phase cells recorded on "
          << (before->cells.empty() ? "the earlier" : "the latest")
@@ -1184,7 +1088,7 @@ void run_trend_list(const std::vector<RunRecord>& runs, std::ostream& os) {
        << (r.fingerprint.get("git_dirty").as_bool() ? "*" : "") << "  "
        << r.virt.size() << " virtual, " << r.host.size() << " host, "
        << r.model.size() << " model, " << r.ft.size() << " ft, "
-       << r.blame.size() << " blame, " << r.threads.size() << " threads"
+       << r.blame.size() << " blame"
        << (r.label.empty() ? "" : "  [" + r.label + "]") << "\n";
   }
 }
