@@ -11,6 +11,7 @@
 
 #include "dtree/serialize.hpp"
 #include "dtree/sha256.hpp"
+#include "json/json.hpp"
 #include "obs/atomic_file.hpp"
 #include "obs/fingerprint.hpp"
 
@@ -607,18 +608,25 @@ bool resume_from_checkpoint(ParContext& ctx, const std::string& formulation,
 
   // Rebuild the tree by replaying expand() over the canonical nodes; the
   // replayed arena ids equal the canonical ids, so the checkpointed
-  // frontier node ids are directly valid. The split observer (model
-  // audit) is detached during the replay — these are not new decisions.
+  // frontier node ids are directly valid. The section digest covers these
+  // exact bytes, so the rebuilt tree must re-serialize to them: any
+  // variant spelling (whitespace, key order, number text) is rejected.
+  // The split observer (model audit) is detached during the replay —
+  // these are not new decisions.
+  JsonValue section;
   std::vector<dtree::NodeSpec> nodes;
-  err = dtree::parse_canonical_nodes(out->tree_json, &nodes);
+  dtree::Tree rebuilt;
+  if (json_parse(out->tree_json, &section, &err)) {
+    err = dtree::nodes_from_json(section, &nodes);
+    if (err.empty()) err = dtree::tree_from_nodes(nodes, &rebuilt);
+  }
+  if (err.empty() && dtree::canonical_nodes_json(rebuilt) != out->tree_json) {
+    err = "tree section is not canonical pdt-model-v1 nodes JSON";
+  }
   if (err.empty()) {
-    dtree::Tree rebuilt;
-    err = dtree::tree_from_nodes(nodes, &rebuilt);
-    if (err.empty()) {
-      dtree::SplitObserver* observer = ctx.tree().split_observer();
-      ctx.tree() = std::move(rebuilt);
-      ctx.tree().set_split_observer(observer);
-    }
+    dtree::SplitObserver* observer = ctx.tree().split_observer();
+    ctx.tree() = std::move(rebuilt);
+    ctx.tree().set_split_observer(observer);
   }
   if (!err.empty()) {
     throw std::runtime_error("resume: epoch " + std::to_string(epoch) +

@@ -1,10 +1,8 @@
 #include "dtree/serialize.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <sstream>
 
@@ -13,42 +11,6 @@
 namespace pdt::dtree {
 
 namespace {
-
-// Shortest decimal that round-trips to the same double — the same rule
-// tools/common's json_double_exact uses, so the digest bytes match what
-// any tools-side re-serialization would produce.
-std::string double_exact(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  for (const int prec : {15, 16, 17}) {
-    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return std::string(buf);
-}
-
-std::string escaped(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
 
 const char* kind_name(SplitTest::Kind k) {
   switch (k) {
@@ -59,6 +21,18 @@ const char* kind_name(SplitTest::Kind k) {
     case SplitTest::Kind::Multiway: return "multiway";
   }
   return "?";
+}
+
+bool kind_from_name(const std::string& name, SplitTest::Kind* k) {
+  using Kind = SplitTest::Kind;
+  for (const Kind kind : {Kind::Leaf, Kind::Threshold, Kind::OrderedSlot,
+                          Kind::Subset, Kind::Multiway}) {
+    if (name == kind_name(kind)) {
+      *k = kind;
+      return true;
+    }
+  }
+  return false;
 }
 
 void append_counts(std::string& out, std::span<const std::int64_t> counts) {
@@ -89,7 +63,7 @@ void append_node(std::string& out, const Node& nd, int canon_id,
     out += ",\"children\":" + std::to_string(nd.test.num_children);
     switch (nd.test.kind) {
       case SplitTest::Kind::Threshold:
-        out += ",\"threshold\":" + double_exact(nd.test.threshold);
+        out += ",\"threshold\":" + json_double_exact(nd.test.threshold);
         out += ",\"slot\":" + std::to_string(nd.test.slot_threshold);
         break;
       case SplitTest::Kind::OrderedSlot:
@@ -166,9 +140,9 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
   const std::string nodes = canonical_nodes_json(tree);
   std::string out = "{\"schema\":\"pdt-model-v1\"";
   out += ",\"meta\":{";
-  out += "\"harness\":\"" + escaped(meta.harness) + "\"";
-  out += ",\"tag\":\"" + escaped(meta.tag) + "\"";
-  out += ",\"formulation\":\"" + escaped(meta.formulation) + "\"";
+  out += "\"harness\":\"" + json_escaped(meta.harness) + "\"";
+  out += ",\"tag\":\"" + json_escaped(meta.tag) + "\"";
+  out += ",\"formulation\":\"" + json_escaped(meta.formulation) + "\"";
   out += ",\"procs\":" + std::to_string(meta.procs);
   out += ",\"workload\":{\"generator\":\"quest\"";
   out += ",\"function\":" + std::to_string(meta.quest_function);
@@ -180,7 +154,9 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
   if (meta.eval_seed != 0) {
     out += ",\"eval\":{\"seed\":" + std::to_string(meta.eval_seed);
     out += ",\"rows\":" + std::to_string(meta.eval_rows);
-    if (accuracy >= 0.0) out += ",\"accuracy\":" + double_exact(accuracy);
+    if (accuracy >= 0.0) {
+      out += ",\"accuracy\":" + json_double_exact(accuracy);
+    }
     out += "}";
   }
   out += "}";
@@ -215,10 +191,10 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
       if (i != 0) out += ",";
       const SplitAuditEntry& e = *paired[i].second;
       out += "{\"node\":" + std::to_string(paired[i].first);
-      out += ",\"gain\":" + double_exact(e.gain);
-      out += ",\"runner_up_gain\":" + double_exact(e.runner_up_gain);
+      out += ",\"gain\":" + json_double_exact(e.gain);
+      out += ",\"runner_up_gain\":" + json_double_exact(e.runner_up_gain);
       out += ",\"runner_up_attr\":" + std::to_string(e.runner_up_attr);
-      out += ",\"phase\":\"" + escaped(e.phase) + "\"";
+      out += ",\"phase\":\"" + json_escaped(e.phase) + "\"";
       out += ",\"level\":" + std::to_string(e.level);
       out += ",\"per_rank_records\":";
       append_counts(out, e.per_rank_records);
@@ -232,213 +208,106 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
 
 namespace {
 
-/// Cursor over the canonical byte grammar. Every helper either consumes
-/// exactly what the writer emitted or records the position of the first
-/// mismatch.
-class CanonCursor {
- public:
-  explicit CanonCursor(std::string_view text) : text_(text) {}
+/// An integral JSON number in [lo, hi]. Doubles hold every integer up to
+/// 2^53 exactly, so that bounds the int64 class counts.
+bool read_integer(const JsonValue& v, double lo, double hi,
+                  std::int64_t* out) {
+  const double d = v.as_double(0.5);  // non-numbers fail the integral test
+  if (!(d >= lo && d <= hi) || std::trunc(d) != d) return false;
+  *out = v.as_int();
+  return true;
+}
 
-  [[nodiscard]] bool literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return fail();
-    pos_ += lit.size();
-    return true;
-  }
-
-  /// literal() without recording a failure — for probing alternatives.
-  [[nodiscard]] bool try_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
-    return true;
-  }
-
-  [[nodiscard]] bool integer(int* out) {
-    std::int64_t wide = 0;
-    if (!integer64(&wide)) return false;
-    if (wide < INT32_MIN || wide > INT32_MAX) return fail();
-    *out = static_cast<int>(wide);
-    return true;
-  }
-
-  [[nodiscard]] bool integer64(std::int64_t* out) {
-    const std::size_t start = pos_;
-    bool neg = false;
-    if (pos_ < text_.size() && text_[pos_] == '-') {
-      neg = true;
-      ++pos_;
+std::string node_from_json(const JsonValue& jn, std::size_t idx,
+                           NodeSpec* spec) {
+  const std::string at = "node " + std::to_string(idx) + ": ";
+  if (!jn.is_object()) return at + "not an object";
+  std::string bad;  // first int field that is missing or not an integer
+  const auto int_field = [&](std::string_view key) {
+    std::int64_t x = 0;
+    if (!read_integer(jn.get(key), INT_MIN, INT_MAX, &x) && bad.empty()) {
+      bad = key;
     }
-    std::uint64_t mag = 0;
-    std::size_t digits = 0;
-    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-      mag = mag * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (mag > (std::uint64_t{1} << 63)) {
-        pos_ = start;
-        return fail();
-      }
-      ++pos_;
-      ++digits;
+    return static_cast<int>(x);
+  };
+  if (int_field("id") != static_cast<int>(idx) && bad.empty()) {
+    return at + "id is not its array position";
+  }
+  spec->parent = int_field("parent");
+  spec->first_child = int_field("first_child");
+  spec->depth = int_field("depth");
+  spec->majority = int_field("majority");
+  if (!bad.empty()) return at + bad + " is not an integer in range";
+  const JsonValue& counts = jn.get("counts");
+  if (!counts.is_array() || counts.size() == 0) {
+    return at + "missing counts array";
+  }
+  for (const JsonValue& c : counts.array()) {
+    std::int64_t n = 0;
+    if (!read_integer(c, 0, 9007199254740992.0, &n)) {
+      return at + "bad class count";
     }
-    if (digits == 0) {
-      pos_ = start;
-      return fail();
-    }
-    *out = neg ? -static_cast<std::int64_t>(mag)
-               : static_cast<std::int64_t>(mag);
-    return true;
+    spec->counts.push_back(n);
   }
+  if (!kind_from_name(jn.get("kind").as_string(), &spec->test.kind)) {
+    return at + "unknown kind \"" + jn.get("kind").as_string() + "\"";
+  }
+  if (spec->test.is_leaf()) return {};
 
-  [[nodiscard]] bool number(double* out) {
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return fail();
-    *out = v;
-    pos_ += static_cast<std::size_t>(end - begin);
-    return true;
-  }
-
-  [[nodiscard]] bool counts(std::vector<std::int64_t>* out) {
-    out->clear();
-    if (!literal("[")) return false;
-    if (peek() == ']') return literal("]");
-    while (true) {
-      std::int64_t v = 0;
-      if (!integer64(&v)) return false;
-      out->push_back(v);
-      if (peek() == ',') {
-        if (!literal(",")) return false;
-        continue;
-      }
-      return literal("]");
-    }
-  }
-
-  [[nodiscard]] char peek() const {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-  [[nodiscard]] bool done() const { return pos_ == text_.size(); }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-
-  [[nodiscard]] bool fail() {
-    if (!failed_) {
-      failed_ = true;
-      fail_pos_ = pos_;
-    }
-    return false;
-  }
-  [[nodiscard]] bool failed() const { return failed_; }
-  [[nodiscard]] std::size_t fail_pos() const { return fail_pos_; }
-
- private:
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-  std::size_t fail_pos_ = 0;
-};
-
-bool parse_one_node(CanonCursor& c, NodeSpec* spec, int* id) {
-  spec->test = SplitTest{};
-  spec->counts.clear();
-  if (!c.literal("{\"id\":") || !c.integer(id)) return false;
-  if (!c.literal(",\"parent\":") || !c.integer(&spec->parent)) return false;
-  if (!c.literal(",\"first_child\":") || !c.integer(&spec->first_child)) {
-    return false;
-  }
-  if (!c.literal(",\"depth\":") || !c.integer(&spec->depth)) return false;
-  if (!c.literal(",\"majority\":") || !c.integer(&spec->majority)) {
-    return false;
-  }
-  if (!c.literal(",\"counts\":") || !c.counts(&spec->counts)) return false;
-  if (!c.literal(",\"kind\":\"")) return false;
-  static constexpr SplitTest::Kind kKinds[] = {
-      SplitTest::Kind::Leaf, SplitTest::Kind::Threshold,
-      SplitTest::Kind::OrderedSlot, SplitTest::Kind::Subset,
-      SplitTest::Kind::Multiway};
-  bool matched = false;
-  for (const SplitTest::Kind k : kKinds) {
-    if (c.try_literal(std::string(kind_name(k)) + "\"")) {
-      spec->test.kind = k;
-      matched = true;
-      break;
-    }
-  }
-  if (!matched) return c.fail();
-  if (spec->test.kind == SplitTest::Kind::Leaf) return c.literal("}");
-  if (!c.literal(",\"attr\":") || !c.integer(&spec->test.attr)) return false;
-  if (!c.literal(",\"children\":") || !c.integer(&spec->test.num_children)) {
-    return false;
-  }
+  spec->test.attr = int_field("attr");
+  spec->test.num_children = int_field("children");
   switch (spec->test.kind) {
-    case SplitTest::Kind::Threshold: {
-      if (!c.literal(",\"threshold\":") || !c.number(&spec->test.threshold)) {
-        return false;
+    case SplitTest::Kind::Threshold:
+      if (!jn.get("threshold").is_number()) {
+        return at + "threshold split without a threshold";
       }
-      if (!c.literal(",\"slot\":") ||
-          !c.integer(&spec->test.slot_threshold)) {
-        return false;
-      }
+      spec->test.threshold = jn.get("threshold").as_double();
+      spec->test.slot_threshold = int_field("slot");
       break;
-    }
     case SplitTest::Kind::OrderedSlot:
-      if (!c.literal(",\"slot\":") ||
-          !c.integer(&spec->test.slot_threshold)) {
-        return false;
+      spec->test.slot_threshold = int_field("slot");
+      if (spec->test.slot_threshold < 0) {
+        return at + "ordered_slot split without a slot";
       }
       break;
     case SplitTest::Kind::Subset: {
-      if (!c.literal(",\"in_left\":[")) return false;
-      spec->test.in_left.clear();
-      if (c.peek() != ']') {
-        while (true) {
-          if (c.peek() != '0' && c.peek() != '1') return c.fail();
-          spec->test.in_left.push_back(c.peek() == '1' ? 1 : 0);
-          if (!c.literal(c.peek() == '1' ? "1" : "0")) return false;
-          if (c.peek() == ',') {
-            if (!c.literal(",")) return false;
-            continue;
-          }
-          break;
-        }
+      const JsonValue& in_left = jn.get("in_left");
+      if (!in_left.is_array() || in_left.size() == 0) {
+        return at + "subset split without in_left";
       }
-      if (!c.literal("]")) return false;
+      for (const JsonValue& f : in_left.array()) {
+        std::int64_t flag = 0;
+        if (!read_integer(f, 0, 1, &flag)) {
+          return at + "in_left entry is not 0 or 1";
+        }
+        spec->test.in_left.push_back(static_cast<std::uint8_t>(flag));
+      }
       break;
     }
     case SplitTest::Kind::Multiway:
     case SplitTest::Kind::Leaf:
       break;
   }
-  return c.literal("}");
+  if (!bad.empty()) return at + bad + " is not an integer in range";
+  if (spec->test.attr < 0) return at + "split without an attr";
+  return {};
 }
 
 }  // namespace
 
-std::string parse_canonical_nodes(std::string_view json,
-                                  std::vector<NodeSpec>* out) {
+std::string nodes_from_json(const JsonValue& nodes,
+                            std::vector<NodeSpec>* out) {
   out->clear();
-  CanonCursor c(json);
-  const auto error_at = [&c]() {
-    return "canonical nodes: malformed at byte " +
-           std::to_string(c.failed() ? c.fail_pos() : c.pos());
-  };
-  if (!c.literal("[")) return error_at();
-  if (c.peek() != ']') {
-    while (true) {
-      NodeSpec spec;
-      int id = -1;
-      if (!parse_one_node(c, &spec, &id)) return error_at();
-      if (id != static_cast<int>(out->size())) {
-        return "canonical nodes: node " + std::to_string(out->size()) +
-               " carries id " + std::to_string(id);
-      }
-      out->push_back(std::move(spec));
-      if (c.peek() == ',') {
-        if (!c.literal(",")) return error_at();
-        continue;
-      }
-      break;
+  if (!nodes.is_array() || nodes.size() == 0) return "missing nodes array";
+  out->reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    NodeSpec spec;
+    if (std::string err = node_from_json(nodes.at(i), i, &spec);
+        !err.empty()) {
+      return err;
     }
+    out->push_back(std::move(spec));
   }
-  if (!c.literal("]") || !c.done()) return error_at();
   return {};
 }
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "dtree/tree.hpp"
+#include "json/json.hpp"
 
 namespace pdt::dtree {
 
@@ -77,7 +78,7 @@ struct ModelMeta {
                                      double accuracy = -1.0);
 
 /// A parsed canonical node, as read back from a model document's "nodes"
-/// array (JSON parsing itself lives tools-side; this is the plain form).
+/// array.
 struct NodeSpec {
   SplitTest test;
   int parent = -1;
@@ -95,15 +96,11 @@ struct NodeSpec {
 [[nodiscard]] std::string tree_from_nodes(std::span<const NodeSpec> nodes,
                                           Tree* out);
 
-/// Strict parser for the exact byte grammar canonical_nodes_json()
-/// produces (fixed key order, compact separators): the inverse used by
-/// the pdt-ckpt-v1 loader, which must rebuild a tree from a checkpoint's
-/// tree section without depending on the tools-side JSON parser. Any
-/// deviation from the canonical grammar — reordered keys, whitespace,
-/// trailing bytes — is an error, not a tolerated variant, since the
-/// section digest covers exactly these bytes. Returns "" on success, else
-/// a description of the first offending byte.
-[[nodiscard]] std::string parse_canonical_nodes(std::string_view json,
-                                                std::vector<NodeSpec>* out);
+/// Read a pdt-model-v1 "nodes" array (canonical ids in array order):
+/// the one model-node reader, used by pdt-tree and the pdt-ckpt-v1
+/// loader. Integer fields must be integral JSON numbers in range. Returns
+/// "" on success, else "node N: ..." for the first malformed node.
+[[nodiscard]] std::string nodes_from_json(const JsonValue& nodes,
+                                          std::vector<NodeSpec>* out);
 
 }  // namespace pdt::dtree

@@ -1,128 +1,12 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <cstdio>
 #include <string>
 #include <thread>
 
 #include "obs/fingerprint.hpp"
 
 namespace pdt::obs {
-
-// ---------------------------------------------------------------- JSON --
-
-void JsonWriter::separate() {
-  if (after_key_) {
-    after_key_ = false;
-    return;
-  }
-  if (!first_.empty()) {
-    if (!first_.back()) os_ << ',';
-    first_.back() = false;
-  }
-}
-
-void JsonWriter::escaped(std::string_view s) {
-  os_ << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os_ << "\\\""; break;
-      case '\\': os_ << "\\\\"; break;
-      case '\n': os_ << "\\n"; break;
-      case '\r': os_ << "\\r"; break;
-      case '\t': os_ << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os_ << buf;
-        } else {
-          os_ << c;
-        }
-    }
-  }
-  os_ << '"';
-}
-
-JsonWriter& JsonWriter::begin_object() {
-  separate();
-  os_ << '{';
-  first_.push_back(true);
-  return *this;
-}
-
-JsonWriter& JsonWriter::end_object() {
-  assert(!first_.empty());
-  first_.pop_back();
-  os_ << '}';
-  return *this;
-}
-
-JsonWriter& JsonWriter::begin_array() {
-  separate();
-  os_ << '[';
-  first_.push_back(true);
-  return *this;
-}
-
-JsonWriter& JsonWriter::end_array() {
-  assert(!first_.empty());
-  first_.pop_back();
-  os_ << ']';
-  return *this;
-}
-
-JsonWriter& JsonWriter::key(std::string_view k) {
-  separate();
-  escaped(k);
-  os_ << ':';
-  after_key_ = true;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::string_view s) {
-  separate();
-  escaped(s);
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(double d) {
-  separate();
-  if (!std::isfinite(d)) {
-    os_ << "null";  // JSON has no Inf/NaN
-    return *this;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os_ << buf;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::int64_t i) {
-  separate();
-  os_ << i;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(std::uint64_t u) {
-  separate();
-  os_ << u;
-  return *this;
-}
-
-JsonWriter& JsonWriter::value(bool b) {
-  separate();
-  os_ << (b ? "true" : "false");
-  return *this;
-}
-
-JsonWriter& JsonWriter::null() {
-  separate();
-  os_ << "null";
-  return *this;
-}
 
 // ------------------------------------------------------------ Perfetto --
 
@@ -608,8 +492,8 @@ void write_events(JsonWriter& w, const mpsim::EventRecorder& rec,
   w.end_array();
 
   // The recorded ground truth the replay identity gate checks against:
-  // shadow clocks equal the machine's clocks bit-exactly (%.17g survives
-  // the JSON round trip losslessly).
+  // shadow clocks equal the machine's clocks bit-exactly (json_double_exact
+  // round-trips every double losslessly).
   w.key("final").begin_object();
   w.kv("max_clock_us", rec.max_clock());
   w.key("clocks").begin_array();

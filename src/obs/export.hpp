@@ -44,6 +44,7 @@
 #include <string_view>
 #include <vector>
 
+#include "json/json.hpp"
 #include "mpsim/trace.hpp"
 #include "obs/observability.hpp"
 
@@ -51,43 +52,8 @@ namespace pdt::obs {
 
 struct EnvFingerprint;
 
-/// Minimal streaming JSON writer (comma/nesting management + escaping).
-/// Also used by the bench harnesses for their report envelopes.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::ostream& os) : os_(os) {}
-
-  JsonWriter& begin_object();
-  JsonWriter& end_object();
-  JsonWriter& begin_array();
-  JsonWriter& end_array();
-  /// Object key; must be followed by exactly one value or container.
-  JsonWriter& key(std::string_view k);
-
-  JsonWriter& value(std::string_view s);
-  JsonWriter& value(const char* s) { return value(std::string_view(s)); }
-  JsonWriter& value(double d);
-  JsonWriter& value(std::int64_t i);
-  JsonWriter& value(std::uint64_t u);
-  JsonWriter& value(int i) { return value(static_cast<std::int64_t>(i)); }
-  JsonWriter& value(bool b);
-  JsonWriter& null();
-
-  /// Shorthand: key + value.
-  template <typename T>
-  JsonWriter& kv(std::string_view k, T v) {
-    key(k);
-    return value(v);
-  }
-
- private:
-  void separate();  // emit "," if not the first element at this depth
-  void escaped(std::string_view s);
-
-  std::ostream& os_;
-  std::vector<bool> first_;   // per open container: next element is first?
-  bool after_key_ = false;
-};
+/// The bench harnesses and perfbench spell the shared writer obs::JsonWriter.
+using pdt::JsonWriter;
 
 /// Perfetto/Chrome trace_event JSON. `collectives` (typically
 /// Machine::trace().events()) become flow events tying the group's first

@@ -22,9 +22,9 @@
 #include <utility>
 #include <vector>
 
-namespace pdt::obs {
+#include "json/json.hpp"
 
-class JsonWriter;
+namespace pdt::obs {
 
 struct EnvFingerprint {
   std::string git_sha;    ///< short SHA at configure time ("unknown" outside git)

@@ -1,0 +1,163 @@
+// Seeded parser mutation test: bounded byte flips, inserts and deletes
+// applied to a pdt-model-v1 document and a small pdt-events-v1 log, each
+// mutant fed through json_parse, the model-node reader and
+// tree_from_nodes. Every mutant must fail with an error message or yield
+// a tree that is consistent with its own canonical form. Run under the
+// sanitizers, this is the fuzz gate for the one JSON reader.
+#include <gtest/gtest.h>
+
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "data/discretize.hpp"
+#include "data/quest.hpp"
+#include "dtree/builder.hpp"
+#include "dtree/serialize.hpp"
+#include "dtree/sha256.hpp"
+#include "json/json.hpp"
+#include "mpsim/event_log.hpp"
+#include "mpsim/machine.hpp"
+#include "obs/export.hpp"
+
+namespace pdt {
+namespace {
+
+constexpr int kMutantsPerDocument = 1500;
+
+/// Bytes an insert or replace draws from: mostly JSON syntax and digits,
+/// so many mutants stay well-formed and reach the node reader.
+constexpr char kAlphabet[] = "0123456789-+.eE,:[]{}\" ntrufalsx\\";
+
+std::string mutate(const std::string& doc, std::mt19937_64& rng) {
+  std::string m = doc;
+  const int ops = 1 + static_cast<int>(rng() % 3);
+  for (int i = 0; i < ops && !m.empty(); ++i) {
+    const std::size_t pos = rng() % m.size();
+    const char c = kAlphabet[rng() % (sizeof kAlphabet - 1)];
+    switch (rng() % 4) {
+      case 0: m[pos] = static_cast<char>(m[pos] ^ (1u << (rng() % 8))); break;
+      case 1: m[pos] = c; break;
+      case 2: m.insert(m.begin() + static_cast<std::ptrdiff_t>(pos), c); break;
+      default: m.erase(pos, 1); break;
+    }
+  }
+  return m;
+}
+
+/// Outcome counts, so the test can show that the loop reached every stage.
+struct Tally {
+  int parse_errors = 0;
+  int reader_errors = 0;
+  int replay_errors = 0;
+  int trees = 0;
+};
+
+/// Feed one mutant through the whole read path; returns false (with a
+/// gtest failure) when a stage fails without an error message or a
+/// rebuilt tree disagrees with its canonical form.
+bool check_mutant(const std::string& text, Tally* tally) {
+  JsonValue root;
+  std::string err;
+  if (!json_parse(text, &root, &err)) {
+    ++tally->parse_errors;
+    EXPECT_FALSE(err.empty()) << "parse failed silently";
+    return !err.empty();
+  }
+  // A document that parses re-serializes to a document that parses back
+  // to the same bytes.
+  JsonValue again;
+  const std::string compact = json_serialize(root);
+  EXPECT_TRUE(json_parse(compact, &again, &err)) << err;
+  EXPECT_EQ(json_serialize(again), compact);
+
+  std::vector<dtree::NodeSpec> nodes;
+  err = dtree::nodes_from_json(root.get("nodes"), &nodes);
+  if (!err.empty()) {
+    ++tally->reader_errors;
+    return true;
+  }
+  dtree::Tree tree;
+  err = dtree::tree_from_nodes(nodes, &tree);
+  if (!err.empty()) {
+    ++tally->replay_errors;
+    return true;
+  }
+  ++tally->trees;
+  const std::string canon = dtree::canonical_nodes_json(tree);
+  EXPECT_EQ(dtree::model_digest(tree), dtree::sha256_hex(canon));
+  // The rebuilt tree's canonical bytes read back to the same tree.
+  JsonValue canon_root;
+  std::vector<dtree::NodeSpec> canon_nodes;
+  dtree::Tree canon_tree;
+  const bool ok = json_parse(canon, &canon_root) &&
+                  dtree::nodes_from_json(canon_root, &canon_nodes).empty() &&
+                  dtree::tree_from_nodes(canon_nodes, &canon_tree).empty() &&
+                  dtree::canonical_nodes_json(canon_tree) == canon;
+  EXPECT_TRUE(ok) << "rebuilt tree does not round-trip its canonical form";
+  return ok;
+}
+
+std::string model_document() {
+  const data::Dataset ds = data::discretize_uniform(
+      data::quest_generate(150, {.function = 2, .seed = 17}),
+      data::quest_paper_bins());
+  dtree::ModelMeta meta;
+  meta.harness = "mutation_test";
+  meta.tag = "serial.P1";
+  return dtree::model_json(dtree::grow_bfs(ds, {}), meta);
+}
+
+std::string events_document() {
+  mpsim::Machine m(3);
+  mpsim::EventRecorder rec;
+  m.set_event_recorder(&rec);
+  rec.open_phase("histogram");
+  m.charge_compute_time(0, 10.7);
+  m.charge_compute_time(1, 3.3);
+  m.charge_comm(2, 40.55, 5.0, 5.0, 1, 40.0);
+  rec.close_phase();
+  m.barrier_over({0, 1, 2});
+  m.charge_io(1, 2.5);
+  obs::EventLogMeta meta;
+  meta.formulation = "sync";
+  meta.procs = 3;
+  std::ostringstream os;
+  obs::write_events_report(os, rec, meta);
+  return os.str();
+}
+
+TEST(ParserMutation, ModelDocumentMutantsFailCleanlyOrRoundTrip) {
+  const std::string doc = model_document();
+  Tally tally;
+  ASSERT_TRUE(check_mutant(doc, &tally));
+  ASSERT_EQ(tally.trees, 1);
+  std::mt19937_64 rng(1998);
+  for (int i = 0; i < kMutantsPerDocument; ++i) {
+    const std::string m = mutate(doc, rng);
+    ASSERT_TRUE(check_mutant(m, &tally)) << "mutant " << i << ":\n" << m;
+  }
+  EXPECT_GT(tally.parse_errors, 0);
+  EXPECT_GT(tally.reader_errors, 0);
+  EXPECT_GT(tally.replay_errors, 0);
+  EXPECT_GT(tally.trees, 1);
+}
+
+TEST(ParserMutation, EventLogMutantsFailCleanlyOrRoundTrip) {
+  const std::string doc = events_document();
+  Tally tally;
+  std::mt19937_64 rng(1998);
+  for (int i = 0; i < kMutantsPerDocument; ++i) {
+    const std::string m = mutate(doc, rng);
+    ASSERT_TRUE(check_mutant(m, &tally)) << "mutant " << i << ":\n" << m;
+  }
+  EXPECT_GT(tally.parse_errors, 0);
+  // An event log has no "nodes" array: every well-formed mutant stops at
+  // the node reader with an error.
+  EXPECT_GT(tally.reader_errors, 0);
+  EXPECT_EQ(tally.trees, 0);
+}
+
+}  // namespace
+}  // namespace pdt

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "diff/diff.hpp"
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 namespace {

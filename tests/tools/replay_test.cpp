@@ -13,10 +13,10 @@
 #include <string>
 #include <tuple>
 
-#include "common/json_value.hpp"
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
+#include "json/json.hpp"
 #include "mpsim/event_log.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"

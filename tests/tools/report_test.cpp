@@ -8,7 +8,7 @@
 #include <sstream>
 #include <string>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 namespace {

@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "common/cli.hpp"
-#include "common/json_value.hpp"
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
 #include "dtree/builder.hpp"
 #include "dtree/metrics.hpp"
 #include "dtree/serialize.hpp"
+#include "json/json.hpp"
 #include "tree/tree.hpp"
 
 namespace pdt::tools {

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 #include "trend/trend.hpp"
 
 namespace pdt::tools {

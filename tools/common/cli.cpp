@@ -34,17 +34,24 @@ bool standard_flag(const CliSpec& spec, std::string_view arg,
   return false;
 }
 
+bool read_file(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = ss.str();
+  return in.good() || in.eof();
+}
+
 bool load_json_file(const CliSpec& spec, const std::string& path,
                     JsonValue* root) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::string text;
+  if (!read_file(path, &text)) {
     std::fprintf(stderr, "%s: cannot open %s\n", spec.tool, path.c_str());
     return false;
   }
-  std::ostringstream buf;
-  buf << is.rdbuf();
   std::string error;
-  if (!json_parse(buf.str(), root, &error)) {
+  if (!json_parse(text, root, &error)) {
     std::fprintf(stderr, "%s: %s: %s\n", spec.tool, path.c_str(),
                  error.c_str());
     return false;

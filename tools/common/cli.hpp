@@ -13,7 +13,7 @@
 #include <string>
 #include <string_view>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 
@@ -22,7 +22,7 @@ inline constexpr int kExitFail = 1;
 inline constexpr int kExitUsage = 2;
 
 /// One version string for the whole tool suite, bumped with the schemas.
-inline constexpr const char* kToolsVersion = "0.11.0";
+inline constexpr const char* kToolsVersion = "0.12.0";
 
 struct CliSpec {
   const char* tool;   ///< binary name, e.g. "pdt-report"
@@ -36,6 +36,10 @@ int usage(const CliSpec& spec);
 /// Uniform handling of -h/--help/--version. Returns true when `arg` was
 /// one of them; `*exit_code` is then the code to exit with (kExitOk).
 bool standard_flag(const CliSpec& spec, std::string_view arg, int* exit_code);
+
+/// Read the whole file at `path` into `*out`; false when it cannot be
+/// opened or read.
+bool read_file(const std::string& path, std::string* out);
 
 /// Read and parse the JSON file at `path` into `*root`. On failure
 /// prints "<tool>: <path>: <why>" to stderr and returns false (the

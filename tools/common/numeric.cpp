@@ -1,0 +1,36 @@
+#include "common/numeric.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
+namespace pdt::tools {
+
+std::string fmt(double v, int decimals) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
+  return std::string(buf);
+}
+
+double median_of(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  if (v.size() % 2 == 1) return v[mid];
+  return 0.5 * (v[mid - 1] + v[mid]);
+}
+
+double mad_of(const std::vector<double>& v) {
+  const double med = median_of(v);
+  std::vector<double> dev;
+  dev.reserve(v.size());
+  for (const double s : v) dev.push_back(std::fabs(s - med));
+  return median_of(std::move(dev));
+}
+
+double noise_band(double base, double mad_a, double mad_b, double tol,
+                  double mad_k) {
+  return std::max(tol * base, mad_k * 1.4826 * (mad_a + mad_b));
+}
+
+}  // namespace pdt::tools

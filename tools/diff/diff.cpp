@@ -5,20 +5,31 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/numeric.hpp"
+
 namespace pdt::tools {
-
-namespace {
-
-std::string fmt(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return std::string(buf);
-}
 
 bool same_tuple(const DiffEntry& a, const DiffEntry& b) {
   return a.harness == b.harness && a.workload == b.workload &&
          a.formulation == b.formulation && a.procs == b.procs;
 }
+
+bool same_host_tuple(const HostEntry& a, const HostEntry& b) {
+  return a.harness == b.harness && a.tag == b.tag &&
+         a.formulation == b.formulation && a.procs == b.procs;
+}
+
+std::string tuple_name(const DiffEntry& e) {
+  return e.harness + " " + e.workload + " " + e.formulation +
+         " P=" + std::to_string(e.procs);
+}
+
+std::string tuple_name(const HostEntry& e) {
+  return e.harness + " " + e.tag + " " + e.formulation +
+         " P=" + std::to_string(e.procs);
+}
+
+namespace {
 
 /// Relative drift of `cur` against `base` (0 when both are 0).
 double drift(double base, double cur) {
@@ -118,8 +129,7 @@ int run_diff(const std::vector<DiffEntry>& baseline,
         break;
       }
     }
-    const std::string name = b.harness + " " + b.workload + " " +
-                             b.formulation + " P=" + std::to_string(b.procs);
+    const std::string name = tuple_name(b);
     if (cur == nullptr) {
       ++failures;
       os << "MISSING " << name << " — tuple absent from current results\n";
@@ -147,26 +157,6 @@ int run_diff(const std::vector<DiffEntry>& baseline,
 }
 
 // ------------------------------------------------------------ host mode --
-
-namespace {
-
-/// Median of `v` (not required sorted; v is copied). 0 for empty input.
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  if (v.size() % 2 == 1) return v[mid];
-  return 0.5 * (v[mid - 1] + v[mid]);
-}
-
-bool same_host_tuple(const HostEntry& a, const HostEntry& b) {
-  return a.harness == b.harness && a.tag == b.tag &&
-         a.formulation == b.formulation && a.procs == b.procs;
-}
-
-std::string fmt_ms(double ns) { return fmt(ns / 1e6, 3); }
-
-}  // namespace
 
 std::vector<HostEntry> extract_host_entries(
     const std::vector<ReportInput>& inputs) {
@@ -200,12 +190,7 @@ std::vector<HostEntry> extract_host_entries(
   for (std::size_t i = 0; i < tuples.size(); ++i) {
     tuples[i].k = static_cast<std::int64_t>(samples[i].size());
     tuples[i].median_ns = median_of(samples[i]);
-    std::vector<double> dev;
-    dev.reserve(samples[i].size());
-    for (const double s : samples[i]) {
-      dev.push_back(std::fabs(s - tuples[i].median_ns));
-    }
-    tuples[i].mad_ns = median_of(std::move(dev));
+    tuples[i].mad_ns = mad_of(samples[i]);
   }
   return tuples;
 }
@@ -259,9 +244,6 @@ void write_host_baseline(const std::vector<HostEntry>& entries,
 int run_host_diff(const std::vector<HostEntry>& baseline,
                   const std::vector<HostEntry>& current,
                   const HostDiffOptions& opt, std::ostream& os) {
-  // 1.4826 scales a MAD to the standard deviation it would be under
-  // normal noise, so mad_k reads as a sigma count.
-  constexpr double kMadToSigma = 1.4826;
   int failures = 0;
   os << "comparing " << baseline.size() << " host tuples (floor "
      << fmt(100.0 * opt.tol, 1) << "%, mad_k " << fmt(opt.mad_k, 1) << ")\n";
@@ -273,16 +255,14 @@ int run_host_diff(const std::vector<HostEntry>& baseline,
         break;
       }
     }
-    const std::string name = b.harness + " " + b.tag + " " + b.formulation +
-                             " P=" + std::to_string(b.procs);
+    const std::string name = tuple_name(b);
     if (cur == nullptr) {
       ++failures;
       os << "MISSING " << name << " — tuple absent from current results\n";
       continue;
     }
     const double band =
-        std::max(opt.tol * b.median_ns,
-                 opt.mad_k * kMadToSigma * (b.mad_ns + cur->mad_ns));
+        noise_band(b.median_ns, b.mad_ns, cur->mad_ns, opt.tol, opt.mad_k);
     const double delta = cur->median_ns - b.median_ns;
     const bool fail = std::fabs(delta) > band;
     if (fail) ++failures;

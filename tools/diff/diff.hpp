@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 #include "report/report.hpp"
 
 namespace pdt::tools {
@@ -35,6 +35,12 @@ struct DiffEntry {
   double speedup = 0.0;
   double efficiency = 0.0;
 };
+
+/// Same (harness, workload, formulation, procs) tuple.
+[[nodiscard]] bool same_tuple(const DiffEntry& a, const DiffEntry& b);
+
+/// "harness workload formulation P=N", the tuple's name in gate output.
+[[nodiscard]] std::string tuple_name(const DiffEntry& e);
 
 /// Collect every speedup_series point of every input envelope. When
 /// `procs_filter` is non-empty, only those processor counts are kept.
@@ -74,14 +80,8 @@ struct DiffOptions {
 // (harness, tag, formulation, procs) tuple is measured k times (one
 // bench envelope per repeat), collapsed to median + MAD (median absolute
 // deviation — a robust spread immune to one slow outlier run), and the
-// tolerance band scales with the measured noise:
-//
-//   band = max(tol * base_median, mad_k * 1.4826 * (base_mad + cur_mad))
-//
-// 1.4826 * MAD estimates one standard deviation for normal noise, so
-// mad_k is roughly "how many sigmas of combined jitter to forgive"; the
-// tol term floors the band so a near-zero-MAD baseline cannot turn the
-// gate into a bit-exactness check on wall time.
+// tolerance band scales with the measured noise (noise_band in
+// common/numeric.hpp, which pdt-trend check shares).
 
 /// One host-time tuple with its repeats collapsed to median + MAD (both
 /// in nanoseconds; k = number of repeats observed).
@@ -94,6 +94,12 @@ struct HostEntry {
   double median_ns = 0.0;
   double mad_ns = 0.0;
 };
+
+/// Same (harness, tag, formulation, procs) tuple.
+[[nodiscard]] bool same_host_tuple(const HostEntry& a, const HostEntry& b);
+
+/// "harness tag formulation P=N", the tuple's name in gate output.
+[[nodiscard]] std::string tuple_name(const HostEntry& e);
 
 /// Collect the host total_ns of every instrumented_run section that has
 /// one, across all input envelopes (each input = one repeat), and

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
 
   std::vector<EventLog> logs;
   for (const std::string& path : files) {
-    JsonValue root;
+    pdt::JsonValue root;
     if (!load_json_file(kSpec, path, &root)) return kExitUsage;
     EventLog log;
     log.name = path;

@@ -30,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 

@@ -6,15 +6,11 @@
 #include <cstdio>
 #include <string_view>
 
+#include "common/numeric.hpp"
+
 namespace pdt::tools {
 
 namespace {
-
-std::string fmt(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return std::string(buf);
-}
 
 std::string fmt_int(double v) { return fmt(v, 0); }
 std::string fmt_us(double v) { return fmt(v, 1); }
@@ -385,15 +381,13 @@ void render_mem_scaling(const JsonValue& sections, std::ostream& os) {
 
 // ---------------------------------------------------------------- host --
 
-std::string fmt_ms_from_ns(double ns) { return fmt(ns / 1e6, 3); }
-
 // The virtual-vs-host side-by-side of one instrumented run: both clocks'
 // per-phase shares of their own totals, and the signed divergence (in
 // percentage points) ranking where the SP-2 cost model and this host
 // disagree most about where the time goes.
 void render_host(const JsonValue& h, std::ostream& os) {
   os << "- host clock: `" << h.get("clock").as_string() << "`, "
-     << fmt_ms_from_ns(h.get("total_ns").as_double()) << " ms over "
+     << fmt_ms(h.get("total_ns").as_double()) << " ms over "
      << h.get("samples").as_int() << " samples (paired virtual total: "
      << fmt_us(h.get("virtual_total_us").as_double()) << " us)\n";
   if (h.get("clamped").as_int() > 0) {
@@ -422,7 +416,7 @@ void render_host(const JsonValue& h, std::ostream& os) {
   os << "|---|---:|---:|---:|---:|---:|\n";
   for (const JsonValue& p : by_phase.array()) {
     os << "| " << p.get("phase").as_string() << " | "
-       << fmt_ms_from_ns(p.get("host_ns").as_double()) << " | "
+       << fmt_ms(p.get("host_ns").as_double()) << " | "
        << fmt(p.get("host_share_pct").as_double(), 1) << " | "
        << fmt_us(p.get("virtual_us").as_double()) << " | "
        << fmt(p.get("virtual_share_pct").as_double(), 1) << " | "
@@ -499,7 +493,7 @@ void render_host_speedup(const JsonValue& sections, std::ostream& os) {
     os << "| P | host ms | host speedup | virtual us | virtual speedup |\n";
     os << "|---:|---:|---:|---:|---:|\n";
     for (const Entry& e : entries) {
-      os << "| " << e.procs << " | " << fmt_ms_from_ns(e.host_ns) << " | "
+      os << "| " << e.procs << " | " << fmt_ms(e.host_ns) << " | "
          << fmt(e.host_ns > 0.0 ? base.host_ns / e.host_ns : 0.0, 2) << " | "
          << fmt_us(e.virt_us) << " | "
          << fmt(e.virt_us > 0.0 ? base.virt_us / e.virt_us : 0.0, 2)
@@ -663,7 +657,7 @@ void render_replay(const ReportInput& in, std::ostream& os) {
         os << "| `" << l.get("name").as_string() << "` | "
            << l.get("procs").as_int() << " | "
            << l.get("clock").as_string() << " | "
-           << fmt_ms_from_ns(l.get("total_ns").as_double()) << " | "
+           << fmt_ms(l.get("total_ns").as_double()) << " | "
            << fmt_us(l.get("virtual_us").as_double()) << " | "
            << fmt(l.get("ns_per_virtual_us").as_double(), 2) << " |\n";
       }
@@ -1006,7 +1000,7 @@ void render_trend(const ReportInput& in, std::ostream& os) {
         const double delta = latest - base;
         vs = (delta >= 0.0 ? "+" : "") +
              fmt(base != 0.0 ? 100.0 * delta / base : 0.0, 1) + "% (band ±" +
-             (is_host ? fmt(t.get("band").as_double() / 1e6, 3) + " ms"
+             (is_host ? fmt_ms(t.get("band").as_double()) + " ms"
                       : fmt(t.get("band").as_double(), 1) + " us") +
              ")";
       }
@@ -1014,7 +1008,7 @@ void render_trend(const ReportInput& in, std::ostream& os) {
       os << "| " << t.get("name").as_string() << " | "
          << t.get("kind").as_string() << " | " << sparkline(values)
          << (marks.empty() ? "" : " " + marks) << " | "
-         << (is_host ? fmt(latest / 1e6, 3) + " ms" : fmt(latest, 1) + " us")
+         << (is_host ? fmt_ms(latest) + " ms" : fmt(latest, 1) + " us")
          << " | " << vs << " | "
          << (verdict == "REGRESSION" ? "**REGRESSION**" : verdict) << " |\n";
     }
@@ -1032,9 +1026,9 @@ void render_trend(const ReportInput& in, std::ostream& os) {
       for (const JsonValue& c : ex.array()) {
         os << "| " << c.get("phase").as_string() << " | "
            << c.get("level").as_int() << " | "
-           << fmt(c.get("before_ns").as_double() / 1e6, 3) << " | "
-           << fmt(c.get("after_ns").as_double() / 1e6, 3) << " | "
-           << fmt(c.get("delta_ns").as_double() / 1e6, 3) << " | "
+           << fmt_ms(c.get("before_ns").as_double()) << " | "
+           << fmt_ms(c.get("after_ns").as_double()) << " | "
+           << fmt_ms(c.get("delta_ns").as_double()) << " | "
            << fmt(c.get("share_pct").as_double(), 1) << " |\n";
       }
       os << "\n";

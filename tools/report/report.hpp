@@ -20,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 

@@ -56,7 +56,7 @@ constexpr pdt::tools::CliSpec kSpec = {
 };
 
 int load_model(const std::string& path, pdt::tools::ModelDoc* out) {
-  pdt::tools::JsonValue root;
+  pdt::JsonValue root;
   if (!pdt::tools::load_json_file(kSpec, path, &root)) {
     return pdt::tools::kExitUsage;
   }

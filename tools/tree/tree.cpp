@@ -26,75 +26,6 @@ void out(std::ostream& os, const char* fmt, ...) {
   os << buf;
 }
 
-bool kind_from_name(const std::string& name, dtree::SplitTest::Kind* k) {
-  using Kind = dtree::SplitTest::Kind;
-  if (name == "leaf") *k = Kind::Leaf;
-  else if (name == "threshold") *k = Kind::Threshold;
-  else if (name == "ordered_slot") *k = Kind::OrderedSlot;
-  else if (name == "subset") *k = Kind::Subset;
-  else if (name == "multiway") *k = Kind::Multiway;
-  else return false;
-  return true;
-}
-
-std::string parse_node(const JsonValue& jn, std::size_t idx,
-                       dtree::NodeSpec* spec) {
-  const std::string at = "node " + std::to_string(idx) + ": ";
-  if (!jn.is_object()) return at + "not an object";
-  if (jn.get("id").as_int(-1) != static_cast<std::int64_t>(idx)) {
-    return at + "id is not its array position";
-  }
-  spec->parent = static_cast<int>(jn.get("parent").as_int(-1));
-  spec->first_child = static_cast<int>(jn.get("first_child").as_int(-1));
-  spec->depth = static_cast<int>(jn.get("depth").as_int());
-  spec->majority = static_cast<int>(jn.get("majority").as_int());
-  const JsonValue& counts = jn.get("counts");
-  if (!counts.is_array() || counts.size() == 0) {
-    return at + "missing counts array";
-  }
-  for (const JsonValue& c : counts.array()) {
-    if (!c.is_number() || c.as_int() < 0) return at + "bad class count";
-    spec->counts.push_back(c.as_int());
-  }
-  if (!kind_from_name(jn.get("kind").as_string(), &spec->test.kind)) {
-    return at + "unknown kind \"" + jn.get("kind").as_string() + "\"";
-  }
-  if (spec->test.is_leaf()) return {};
-
-  spec->test.attr = static_cast<int>(jn.get("attr").as_int(-1));
-  spec->test.num_children = static_cast<int>(jn.get("children").as_int());
-  if (spec->test.attr < 0) return at + "split without an attr";
-  switch (spec->test.kind) {
-    case dtree::SplitTest::Kind::Threshold:
-      if (!jn.get("threshold").is_number()) {
-        return at + "threshold split without a threshold";
-      }
-      spec->test.threshold = jn.get("threshold").as_double();
-      spec->test.slot_threshold = static_cast<int>(jn.get("slot").as_int(-1));
-      break;
-    case dtree::SplitTest::Kind::OrderedSlot:
-      spec->test.slot_threshold = static_cast<int>(jn.get("slot").as_int(-1));
-      if (spec->test.slot_threshold < 0) {
-        return at + "ordered_slot split without a slot";
-      }
-      break;
-    case dtree::SplitTest::Kind::Subset: {
-      const JsonValue& in_left = jn.get("in_left");
-      if (!in_left.is_array() || in_left.size() == 0) {
-        return at + "subset split without in_left";
-      }
-      for (const JsonValue& f : in_left.array()) {
-        spec->test.in_left.push_back(f.as_int() != 0 ? 1 : 0);
-      }
-      break;
-    }
-    case dtree::SplitTest::Kind::Multiway:
-    case dtree::SplitTest::Kind::Leaf:
-      break;
-  }
-  return {};
-}
-
 std::string describe_test(const dtree::SplitTest& t) {
   char buf[128];
   switch (t.kind) {
@@ -191,23 +122,9 @@ std::string parse_model(const JsonValue& root, ModelDoc* out) {
     return "not a pdt-model-v1 document (schema \"" +
            root.get("schema").as_string() + "\")";
   }
-  const JsonValue& nodes = root.get("nodes");
-  if (!nodes.is_array() || nodes.size() == 0) {
-    return "missing nodes array";
-  }
-  out->nodes.clear();
-  out->nodes.reserve(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    dtree::NodeSpec spec;
-    if (std::string err = parse_node(nodes.at(i), i, &spec); !err.empty()) {
-      return err;
-    }
-    out->nodes.push_back(std::move(spec));
-  }
-  if (std::string err = dtree::tree_from_nodes(out->nodes, &out->tree);
-      !err.empty()) {
-    return err;
-  }
+  std::string err = dtree::nodes_from_json(root.get("nodes"), &out->nodes);
+  if (err.empty()) err = dtree::tree_from_nodes(out->nodes, &out->tree);
+  if (!err.empty()) return err;
   out->recorded_digest = root.get("digest").as_string();
   out->computed_digest = dtree::model_digest(out->tree);
   out->meta = root.get("meta");

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "common/json_value.hpp"
+#include "json/json.hpp"
 #include "dtree/serialize.hpp"
 #include "dtree/tree.hpp"
 

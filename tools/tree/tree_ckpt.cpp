@@ -10,7 +10,6 @@
 #include <cctype>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -25,15 +24,6 @@ namespace pdt::tools {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool read_file(const fs::path& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return in.good() || in.eof();
-}
 
 std::int64_t total_records(const core::RunSnapshot& snap) {
   std::int64_t total = 0;
@@ -53,7 +43,7 @@ std::size_t frontier_nodes(const core::RunSnapshot& snap) {
 /// the file parses clean.
 bool inspect_file(const fs::path& path, bool verbose, std::ostream& os) {
   std::string bytes;
-  if (!read_file(path, &bytes)) {
+  if (!read_file(path.string(), &bytes)) {
     os << path.string() << ": unreadable\n";
     return false;
   }
@@ -129,7 +119,7 @@ int inspect_dir(const fs::path& dir, std::ostream& os) {
             });
 
   std::string manifest;
-  if (read_file(dir / "MANIFEST", &manifest)) {
+  if (read_file((dir / "MANIFEST").string(), &manifest)) {
     os << "MANIFEST (advisory, never trusted by the loader):\n";
     std::istringstream ms(manifest);
     for (std::string line; std::getline(ms, line);) {

@@ -17,9 +17,7 @@
 // rewrite the whole file atomically with the new records at the end, so
 // a crash never leaves a torn line.
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,15 +77,13 @@ constexpr pdt::tools::CliSpec kSpec = {
 /// bootstrap case), any other read or parse problem is fatal.
 bool load_registry(const std::string& path,
                    std::vector<pdt::tools::RunRecord>* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!pdt::tools::read_file(path, &text)) {
     out->clear();
     return true;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
   std::string error;
-  if (!pdt::tools::parse_registry(ss.str(), out, &error)) {
+  if (!pdt::tools::parse_registry(text, out, &error)) {
     std::fprintf(stderr, "pdt-trend: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }

@@ -5,55 +5,11 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/numeric.hpp"
+
 namespace pdt::tools {
 
 namespace {
-
-std::string fmt(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", decimals, v);
-  return std::string(buf);
-}
-
-std::string fmt_ms(double ns) { return fmt(ns / 1e6, 3); }
-
-/// Median of `v` (copied; not required sorted). 0 for empty input.
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const std::size_t mid = v.size() / 2;
-  if (v.size() % 2 == 1) return v[mid];
-  return 0.5 * (v[mid - 1] + v[mid]);
-}
-
-/// MAD of `v` around its own median.
-double mad_of(const std::vector<double>& v) {
-  const double med = median_of(v);
-  std::vector<double> dev;
-  dev.reserve(v.size());
-  for (const double s : v) dev.push_back(std::fabs(s - med));
-  return median_of(std::move(dev));
-}
-
-bool same_virt(const DiffEntry& a, const DiffEntry& b) {
-  return a.harness == b.harness && a.workload == b.workload &&
-         a.formulation == b.formulation && a.procs == b.procs;
-}
-
-bool same_host(const HostEntry& a, const HostEntry& b) {
-  return a.harness == b.harness && a.tag == b.tag &&
-         a.formulation == b.formulation && a.procs == b.procs;
-}
-
-std::string virt_name(const DiffEntry& e) {
-  return e.harness + " " + e.workload + " " + e.formulation +
-         " P=" + std::to_string(e.procs);
-}
-
-std::string host_name(const HostEntry& e) {
-  return e.harness + " " + e.tag + " " + e.formulation +
-         " P=" + std::to_string(e.procs);
-}
 
 bool same_model(const TrendModelTuple& a, const TrendModelTuple& b) {
   return a.harness == b.harness && a.tag == b.tag &&
@@ -293,7 +249,7 @@ RunRecord record_from_envelopes(const std::vector<ReportInput>& inputs) {
   for (DiffEntry& e : extract_entries(inputs, {})) {
     bool seen = false;
     for (const DiffEntry& u : rec.virt) {
-      if (same_virt(u, e)) {
+      if (same_tuple(u, e)) {
         seen = true;
         break;
       }
@@ -380,7 +336,7 @@ RunRecord record_from_envelopes(const std::vector<ReportInput>& inputs) {
       key.procs = sec.get("procs").as_int();
       std::size_t ti = 0;
       for (; ti < rec.host.size(); ++ti) {
-        if (same_host(rec.host[ti].entry, key)) break;
+        if (same_host_tuple(rec.host[ti].entry, key)) break;
       }
       if (ti == rec.host.size()) continue;
       for (const JsonValue& group : host.get("phases").array()) {
@@ -461,10 +417,6 @@ bool record_from_artifact(const ReportInput& input, RunRecord* out,
 
 namespace {
 
-// 1.4826 scales a MAD to the sigma it estimates under normal noise (the
-// same constant pdt-diff --host uses, so the two gates agree).
-constexpr double kMadToSigma = 1.4826;
-
 /// One tuple's time series across the registry, oldest first.
 struct Series {
   std::string name;
@@ -499,8 +451,8 @@ Verdict test_at(const Series& s, std::size_t pos, const TrendOptions& opt) {
     // Same band semantics as pdt-diff --host (DESIGN.md section 9), with
     // the across-run spread of the window's medians standing in for the
     // baseline's within-run MAD.
-    v.band = std::max(opt.tol * v.base,
-                      opt.mad_k * kMadToSigma * (mad_of(win) + s.mads[pos]));
+    v.band = noise_band(v.base, mad_of(win), s.mads[pos], opt.tol,
+                        opt.mad_k);
   } else {
     // The virtual clock is deterministic: a plain relative tolerance.
     v.band = opt.vtol * v.base;
@@ -522,12 +474,12 @@ std::vector<Series> collect_series(const std::vector<RunRecord>& runs) {
     for (const DiffEntry& e : rec.virt) {
       std::size_t i = 0;
       for (; i < vkeys.size(); ++i) {
-        if (same_virt(vkeys[i], e)) break;
+        if (same_tuple(vkeys[i], e)) break;
       }
       if (i == vkeys.size()) {
         vkeys.push_back(e);
         Series s;
-        s.name = virt_name(e);
+        s.name = tuple_name(e);
         out.push_back(std::move(s));
       }
       out[i].seqs.push_back(rec.seq);
@@ -540,12 +492,12 @@ std::vector<Series> collect_series(const std::vector<RunRecord>& runs) {
     for (const TrendHostTuple& t : rec.host) {
       std::size_t i = 0;
       for (; i < hkeys.size(); ++i) {
-        if (same_host(hkeys[i], t.entry)) break;
+        if (same_host_tuple(hkeys[i], t.entry)) break;
       }
       if (i == hkeys.size()) {
         hkeys.push_back(t.entry);
         Series s;
-        s.name = host_name(t.entry);
+        s.name = tuple_name(t.entry);
         s.is_host = true;
         out.push_back(std::move(s));
       }
@@ -639,7 +591,7 @@ const TrendHostTuple* previous_host(const std::vector<RunRecord>& runs,
                                     const RunRecord** rec_out) {
   for (std::size_t r = runs.size() - 1; r-- > 0;) {
     for (const TrendHostTuple& t : runs[r].host) {
-      if (same_host(t.entry, key)) {
+      if (same_host_tuple(t.entry, key)) {
         if (rec_out != nullptr) *rec_out = &runs[r];
         return &t;
       }
@@ -789,7 +741,7 @@ int run_trend_check(const std::vector<RunRecord>& runs,
       HostEntry key;
       const TrendHostTuple* after = nullptr;
       for (const TrendHostTuple& t : runs.back().host) {
-        if (host_name(t.entry) == s.name) {
+        if (tuple_name(t.entry) == s.name) {
           after = &t;
           key = t.entry;
           break;
@@ -949,7 +901,7 @@ bool run_trend_explain(const std::vector<RunRecord>& runs,
   std::vector<const TrendHostTuple*> targets;
   if (!tuple_filter.empty()) {
     for (const TrendHostTuple& t : latest.host) {
-      if (host_name(t.entry).find(tuple_filter) != std::string::npos) {
+      if (tuple_name(t.entry).find(tuple_filter) != std::string::npos) {
         targets.push_back(&t);
       }
     }
@@ -962,7 +914,7 @@ bool run_trend_explain(const std::vector<RunRecord>& runs,
       const Verdict v = test_at(s, s.values.size() - 1, opt);
       if (!v.regression && !v.improved) continue;
       for (const TrendHostTuple& t : latest.host) {
-        if (host_name(t.entry) == s.name) {
+        if (tuple_name(t.entry) == s.name) {
           targets.push_back(&t);
           break;
         }
@@ -982,7 +934,7 @@ bool run_trend_explain(const std::vector<RunRecord>& runs,
     const RunRecord* before_rec = nullptr;
     const TrendHostTuple* before =
         previous_host(runs, after->entry, &before_rec);
-    const std::string name = host_name(after->entry);
+    const std::string name = tuple_name(after->entry);
     if (before == nullptr) {
       os << name << ": first appearance in run " << latest.seq
          << " — no earlier record to explain against\n";

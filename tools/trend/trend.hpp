@@ -39,8 +39,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/json_value.hpp"
 #include "diff/diff.hpp"
+#include "json/json.hpp"
 
 namespace pdt::tools {
 
