@@ -473,11 +473,8 @@ void DurableCheckpointer::save(std::vector<CkptPart> parts,
 
   // Frontier node ids are arena ids mid-run; on disk they are canonical
   // (the ids the resumed, freshly replayed tree will carry).
-  const std::vector<int> order = dtree::canonical_order(tree);
-  std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
-  }
+  const std::vector<int> canon_of =
+      dtree::canonical_ids(tree, dtree::canonical_order(tree));
   for (CkptPart& p : parts) {
     for (NodeWork& nw : p.frontier) {
       const int c = canon_of[static_cast<std::size_t>(nw.node_id)];

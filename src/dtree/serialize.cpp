@@ -1,10 +1,11 @@
 #include "dtree/serialize.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <climits>
 #include <cmath>
-#include <deque>
 #include <sstream>
+#include <string_view>
 
 #include "dtree/sha256.hpp"
 
@@ -35,39 +36,55 @@ bool kind_from_name(const std::string& name, SplitTest::Kind* k) {
   return false;
 }
 
+/// Decimal integer, the same digits std::to_string writes, appended in
+/// place.
+template <class Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+/// `key` (the JSON text up to and including the colon) then an integer.
+template <class Int>
+void append_field(std::string& out, std::string_view key, Int v) {
+  out += key;
+  append_int(out, v);
+}
+
 void append_counts(std::string& out, std::span<const std::int64_t> counts) {
   out += "[";
   for (std::size_t c = 0; c < counts.size(); ++c) {
     if (c != 0) out += ",";
-    out += std::to_string(counts[c]);
+    append_int(out, counts[c]);
   }
   out += "]";
 }
 
-/// Serialize one node under its canonical ids. `canon_of` maps arena id
-/// -> canonical id (-1 for detached nodes, which never appear here).
+/// Serialize one node under its canonical ids.
 void append_node(std::string& out, const Node& nd, int canon_id,
                  int canon_parent, int canon_first_child) {
-  out += "{\"id\":" + std::to_string(canon_id);
-  out += ",\"parent\":" + std::to_string(canon_parent);
-  out += ",\"first_child\":" + std::to_string(canon_first_child);
-  out += ",\"depth\":" + std::to_string(nd.depth);
-  out += ",\"majority\":" + std::to_string(nd.majority);
+  append_field(out, "{\"id\":", canon_id);
+  append_field(out, ",\"parent\":", canon_parent);
+  append_field(out, ",\"first_child\":", canon_first_child);
+  append_field(out, ",\"depth\":", nd.depth);
+  append_field(out, ",\"majority\":", nd.majority);
   out += ",\"counts\":";
   append_counts(out, nd.class_counts);
   out += ",\"kind\":\"";
   out += kind_name(nd.test.kind);
   out += "\"";
   if (!nd.is_leaf()) {
-    out += ",\"attr\":" + std::to_string(nd.test.attr);
-    out += ",\"children\":" + std::to_string(nd.test.num_children);
+    append_field(out, ",\"attr\":", nd.test.attr);
+    append_field(out, ",\"children\":", nd.test.num_children);
     switch (nd.test.kind) {
       case SplitTest::Kind::Threshold:
-        out += ",\"threshold\":" + json_double_exact(nd.test.threshold);
-        out += ",\"slot\":" + std::to_string(nd.test.slot_threshold);
+        out += ",\"threshold\":";
+        out += json_double_exact(nd.test.threshold);
+        append_field(out, ",\"slot\":", nd.test.slot_threshold);
         break;
       case SplitTest::Kind::OrderedSlot:
-        out += ",\"slot\":" + std::to_string(nd.test.slot_threshold);
+        append_field(out, ",\"slot\":", nd.test.slot_threshold);
         break;
       case SplitTest::Kind::Subset: {
         out += ",\"in_left\":[";
@@ -86,36 +103,14 @@ void append_node(std::string& out, const Node& nd, int canon_id,
   out += "}";
 }
 
-}  // namespace
-
-std::vector<int> canonical_order(const Tree& tree) {
-  std::vector<int> order;
-  if (tree.num_nodes() == 0) return order;
-  order.reserve(static_cast<std::size_t>(tree.num_nodes()));
-  std::deque<int> queue{tree.root()};
-  while (!queue.empty()) {
-    const int id = queue.front();
-    queue.pop_front();
-    order.push_back(id);
-    const Node& nd = tree.node(id);
-    if (nd.is_leaf()) continue;
-    for (int k = 0; k < nd.test.num_children; ++k) {
-      queue.push_back(nd.first_child + k);
-    }
-  }
-  return order;
-}
-
-std::string canonical_nodes_json(const Tree& tree) {
-  const std::vector<int> order = canonical_order(tree);
-  std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
-  }
+/// Append the canonical "nodes" array for a precomputed canonical_order
+/// and its canonical_ids.
+void append_nodes(std::string& out, const Tree& tree,
+                  std::span<const int> order, std::span<const int> canon_of) {
   // Canonical first_child falls out of the level-order walk: children are
   // enqueued contiguously, so child canonical ids are consecutive and the
   // next unassigned id advances exactly like Tree::expand()'s arena.
-  std::string out = "[";
+  out += "[";
   for (std::size_t k = 0; k < order.size(); ++k) {
     if (k != 0) out += ",";
     const Node& nd = tree.node(order[k]);
@@ -127,6 +122,38 @@ std::string canonical_nodes_json(const Tree& tree) {
     append_node(out, nd, static_cast<int>(k), canon_parent, canon_first);
   }
   out += "]";
+}
+
+}  // namespace
+
+std::vector<int> canonical_order(const Tree& tree) {
+  std::vector<int> order;
+  if (tree.num_nodes() == 0) return order;
+  order.reserve(static_cast<std::size_t>(tree.num_nodes()));
+  order.push_back(tree.root());
+  // `order` is its own BFS queue: everything past `head` is enqueued.
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    const Node& nd = tree.node(order[head]);
+    if (nd.is_leaf()) continue;
+    for (int k = 0; k < nd.test.num_children; ++k) {
+      order.push_back(nd.first_child + k);
+    }
+  }
+  return order;
+}
+
+std::vector<int> canonical_ids(const Tree& tree, std::span<const int> order) {
+  std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
+  }
+  return canon_of;
+}
+
+std::string canonical_nodes_json(const Tree& tree) {
+  const std::vector<int> order = canonical_order(tree);
+  std::string out;
+  append_nodes(out, tree, order, canonical_ids(tree, order));
   return out;
 }
 
@@ -137,44 +164,48 @@ std::string model_digest(const Tree& tree) {
 std::string model_json(const Tree& tree, const ModelMeta& meta,
                        std::span<const SplitAuditEntry> audit,
                        double accuracy) {
-  const std::string nodes = canonical_nodes_json(tree);
+  const std::vector<int> order = canonical_order(tree);
+  const std::vector<int> canon_of = canonical_ids(tree, order);
   std::string out = "{\"schema\":\"pdt-model-v1\"";
   out += ",\"meta\":{";
   out += "\"harness\":\"" + json_escaped(meta.harness) + "\"";
   out += ",\"tag\":\"" + json_escaped(meta.tag) + "\"";
   out += ",\"formulation\":\"" + json_escaped(meta.formulation) + "\"";
-  out += ",\"procs\":" + std::to_string(meta.procs);
+  append_field(out, ",\"procs\":", meta.procs);
   out += ",\"workload\":{\"generator\":\"quest\"";
-  out += ",\"function\":" + std::to_string(meta.quest_function);
-  out += ",\"seed\":" + std::to_string(meta.train_seed);
-  out += ",\"rows\":" + std::to_string(meta.train_rows);
+  append_field(out, ",\"function\":", meta.quest_function);
+  append_field(out, ",\"seed\":", meta.train_seed);
+  append_field(out, ",\"rows\":", meta.train_rows);
   out += ",\"paper_bins\":";
   out += meta.paper_bins ? "true" : "false";
   out += "}";
   if (meta.eval_seed != 0) {
-    out += ",\"eval\":{\"seed\":" + std::to_string(meta.eval_seed);
-    out += ",\"rows\":" + std::to_string(meta.eval_rows);
+    append_field(out, ",\"eval\":{\"seed\":", meta.eval_seed);
+    append_field(out, ",\"rows\":", meta.eval_rows);
     if (accuracy >= 0.0) {
       out += ",\"accuracy\":" + json_double_exact(accuracy);
     }
     out += "}";
   }
   out += "}";
-  out += ",\"digest\":\"" + sha256_hex(nodes) + "\"";
-  out += ",\"num_nodes\":" +
-         std::to_string(static_cast<int>(canonical_order(tree).size()));
-  out += ",\"num_leaves\":" + std::to_string(tree.num_leaves());
-  out += ",\"depth\":" + std::to_string(tree.depth());
-  out += ",\"nodes\":" + nodes;
+  // The digest precedes the nodes it covers: hold its 64 hex digits'
+  // place, write the nodes into the document, then hash them there.
+  out += ",\"digest\":\"";
+  const std::size_t digest_at = out.size();
+  out.append(64, '0');
+  out += "\"";
+  append_field(out, ",\"num_nodes\":", order.size());
+  append_field(out, ",\"num_leaves\":", tree.num_leaves());
+  append_field(out, ",\"depth\":", tree.depth());
+  out += ",\"nodes\":";
+  const std::size_t nodes_at = out.size();
+  append_nodes(out, tree, order, canon_of);
+  out.replace(digest_at, 64,
+              sha256_hex(std::string_view(out).substr(nodes_at)));
 
   // Pairing rule: audit entries survive iff their node is a reachable
   // internal node of the *final* tree (a leaf-ified or detached node's
   // decision was revoked), remapped to canonical ids and sorted by them.
-  const std::vector<int> order = canonical_order(tree);
-  std::vector<int> canon_of(static_cast<std::size_t>(tree.num_nodes()), -1);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
-  }
   std::vector<std::pair<int, const SplitAuditEntry*>> paired;
   for (const SplitAuditEntry& e : audit) {
     if (e.node_id < 0 || e.node_id >= tree.num_nodes()) continue;
@@ -190,12 +221,12 @@ std::string model_json(const Tree& tree, const ModelMeta& meta,
     for (std::size_t i = 0; i < paired.size(); ++i) {
       if (i != 0) out += ",";
       const SplitAuditEntry& e = *paired[i].second;
-      out += "{\"node\":" + std::to_string(paired[i].first);
+      append_field(out, "{\"node\":", paired[i].first);
       out += ",\"gain\":" + json_double_exact(e.gain);
       out += ",\"runner_up_gain\":" + json_double_exact(e.runner_up_gain);
-      out += ",\"runner_up_attr\":" + std::to_string(e.runner_up_attr);
+      append_field(out, ",\"runner_up_attr\":", e.runner_up_attr);
       out += ",\"phase\":\"" + json_escaped(e.phase) + "\"";
-      out += ",\"level\":" + std::to_string(e.level);
+      append_field(out, ",\"level\":", e.level);
       out += ",\"per_rank_records\":";
       append_counts(out, e.per_rank_records);
       out += "}";

@@ -65,6 +65,11 @@ struct ModelMeta {
 /// id of canonical node k. Identity for unpruned BFS-grown trees.
 [[nodiscard]] std::vector<int> canonical_order(const Tree& tree);
 
+/// Inverse of `order` (= canonical_order(tree)): out[arena id] is the
+/// node's canonical id, or -1 for nodes pruning detached.
+[[nodiscard]] std::vector<int> canonical_ids(const Tree& tree,
+                                             std::span<const int> order);
+
 /// The canonical "nodes" array — the exact byte string the digest covers.
 [[nodiscard]] std::string canonical_nodes_json(const Tree& tree);
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "data/discretize.hpp"
 #include "data/golf.hpp"
 #include "data/quest.hpp"
@@ -24,10 +26,7 @@ data::Dataset quest_binned(std::size_t n, std::uint64_t seed) {
 /// recovers from the "nodes" array of a well-formed document).
 std::vector<NodeSpec> specs_of(const Tree& t) {
   const std::vector<int> order = canonical_order(t);
-  std::vector<int> canon_of(static_cast<std::size_t>(t.num_nodes()), -1);
-  for (std::size_t k = 0; k < order.size(); ++k) {
-    canon_of[static_cast<std::size_t>(order[k])] = static_cast<int>(k);
-  }
+  const std::vector<int> canon_of = canonical_ids(t, order);
   std::vector<NodeSpec> specs;
   for (const int id : order) {
     const Node& nd = t.node(id);
@@ -115,6 +114,7 @@ TEST(Serialize, LeafIfiedSubtreesDropFromCanonicalForm) {
   }
   ASSERT_GE(victim, 0);
   const std::string digest_before = model_digest(t);
+  const int first_child = t.node(victim).first_child;
   t.make_leaf(victim);
   EXPECT_NE(model_digest(t), digest_before);
   // The arena still holds the detached nodes; the canonical form drops
@@ -122,6 +122,11 @@ TEST(Serialize, LeafIfiedSubtreesDropFromCanonicalForm) {
   EXPECT_EQ(t.num_nodes(), before);
   const std::vector<int> order = canonical_order(t);
   EXPECT_LT(static_cast<int>(order.size()), before);
+  const std::vector<int> canon_of = canonical_ids(t, order);
+  EXPECT_GE(canon_of[static_cast<std::size_t>(victim)], 0);
+  EXPECT_EQ(canon_of[static_cast<std::size_t>(first_child)], -1);
+  EXPECT_EQ(std::count(canon_of.begin(), canon_of.end(), -1),
+            before - static_cast<int>(order.size()));
   Tree back;
   ASSERT_EQ(tree_from_nodes(specs_of(t), &back), "");
   EXPECT_TRUE(back.same_as(t));
