@@ -119,11 +119,13 @@ const data::Dataset& quest_binned_20k() {
 // The paper leaves pruning out of its analysis as "less than 1% of the
 // initial tree generation" (Section 2.1). That does not hold here.
 // /prune:0 times grow_bfs and /prune:1 times prune (tree copy included)
-// on the same 20k-row tree: 1.5-2.0 ms against 5.7-6.2 ms, 25-35% of the
+// on the same 20k-row tree: 1.1-2.0 ms against 2.9-6.2 ms, 25-40% of the
 // grow, on a 4-vCPU Xeon host at -O2. Nearly all of it is the exact
 // binomial bisection, run once per distinct (errors, n <= 400) pair.
-// Distinct pairs grow much slower than the tree, so at the paper's 0.8M
-// rows prune falls to about 7% of the serial grow (perfbench).
+// grow_bfs scans every child; core::build_serial derives one child per
+// split and is faster. Distinct pairs grow much slower than the tree, so
+// at the paper's 0.8M rows prune falls to 7-10% of core::build_serial
+// (perfbench).
 void BM_GrowVsPrune(benchmark::State& state) {
   const data::Dataset& ds = quest_binned_20k();
   const dtree::Tree grown = dtree::grow_bfs(ds, dtree::GrowOptions{});
@@ -192,6 +194,26 @@ void BM_SimulatedHybrid(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedHybrid)->Arg(10000)->Unit(benchmark::kMillisecond);
+
+// The serial baseline on raw continuous columns in the Figure-8
+// configuration (k-means boundaries over 32 micro-bins): one child per
+// split is derived as parent minus siblings, and the others gather their
+// continuous slots from the mapper's uint8 columns.
+void BM_BuildSerialRaw(benchmark::State& state) {
+  const data::Dataset ds = data::quest_generate(
+      static_cast<std::size_t>(state.range(0)), {.function = 2, .seed = 6});
+  core::ParOptions opt;
+  opt.grow.cont_split = dtree::ContSplit::KMeans;
+  opt.grow.cont_bins = 32;
+  opt.grow.per_node_bins = 8;
+  opt.grow.min_records = 8;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::build_serial(ds, opt));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BuildSerialRaw)->Arg(20000)->Unit(benchmark::kMillisecond);
 
 void BM_AllReduce(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));

@@ -64,7 +64,100 @@ dtree::SplitDecision choose_split_exact(std::span<const std::int64_t> hist,
   return tracker.take();
 }
 
+/// Host half of Section 3.1 step 2 for work[c0, c1): fill each node's
+/// table in `hist`, summed over the members (arithmetically identical to
+/// reducing per-member local histograms). Nodes whose parent has an entry
+/// in ctx.parent_tables go last, grouped by parent with the largest last,
+/// so the largest sibling in reach is the one derived.
+void fill_chunk_tables(ParContext& ctx, const std::vector<NodeWork*>& work,
+                       std::size_t c0, std::size_t c1, dtree::Hist& hist) {
+  const dtree::AttrLayout& layout = ctx.layout();
+  const auto entries = static_cast<std::size_t>(layout.total());
+  const auto table = [&](std::size_t i) {
+    return std::span<std::int64_t>(hist).subspan((i - c0) * entries, entries);
+  };
+  const auto accumulate_node = [&](std::size_t i) {
+    for (const auto& rows : work[i]->local_rows) {
+      if (!rows.empty()) {
+        dtree::accumulate(table(i), layout, ctx.mapper(), rows);
+      }
+    }
+  };
+
+  struct Cached {
+    int parent;
+    std::int64_t records;
+    std::size_t i;
+  };
+  std::vector<Cached> cached;
+  for (std::size_t i = c0; i < c1; ++i) {
+    const int parent = ctx.tree().node(work[i]->node_id).parent;
+    if (ctx.parent_tables.pending(parent) > 0) {
+      cached.push_back({parent, work[i]->total_records(), i});
+    } else {
+      accumulate_node(i);
+    }
+  }
+  std::stable_sort(cached.begin(), cached.end(),
+                   [](const Cached& a, const Cached& b) {
+                     if (a.parent != b.parent) return a.parent < b.parent;
+                     return a.records < b.records;
+                   });
+  for (const Cached& c : cached) {
+    if (ctx.parent_tables.pending(c.parent) > 1) {
+      accumulate_node(c.i);
+      ctx.parent_tables.subtract(c.parent, table(c.i));
+    } else {
+      ctx.parent_tables.derive(c.parent, table(c.i));
+      ++ctx.derived_histograms;
+    }
+  }
+}
+
 }  // namespace
+
+void ParentTables::keep(int id, std::span<const std::int64_t> table,
+                        int pending) {
+  if (free_.empty()) {
+    entries_ = table.size();
+    const std::size_t block = kBlockTables * entries_;
+    blocks_.push_back(std::make_unique_for_overwrite<std::int64_t[]>(block));
+    for (std::size_t k = 0; k < kBlockTables; ++k) {
+      free_.push_back(blocks_.back().get() + k * entries_);
+    }
+  }
+  assert(table.size() == entries_);
+  std::int64_t* remainder = free_.back();
+  free_.pop_back();
+  std::copy(table.begin(), table.end(), remainder);
+  index_[id] = {remainder, pending};
+}
+
+int ParentTables::pending(int id) const {
+  const auto it = index_.find(id);
+  return it == index_.end() ? 0 : it->second.pending;
+}
+
+void ParentTables::subtract(int id, std::span<const std::int64_t> child) {
+  Entry& e = index_.at(id);
+  for (std::size_t i = 0; i < entries_; ++i) e.remainder[i] -= child[i];
+  --e.pending;
+}
+
+void ParentTables::derive(int id, std::span<std::int64_t> child) {
+  const auto it = index_.find(id);
+  assert(it != index_.end());
+  std::copy(it->second.remainder, it->second.remainder + entries_,
+            child.begin());
+  free_.push_back(it->second.remainder);
+  index_.erase(it);
+}
+
+void ParentTables::clear() {
+  index_.clear();
+  blocks_.clear();
+  free_.clear();
+}
 
 std::int64_t NodeWork::total_records() const {
   std::int64_t n = 0;
@@ -269,19 +362,14 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         machine.alloc_bytes(g.rank(m), mpsim::MemTag::Histogram,
                             chunk_table_bytes);
       }
-      // Local histogram construction. The sum over members lands directly
-      // in the shared buffer — arithmetically identical to reducing
-      // per-member local histograms, while each member is charged for its
-      // own share of the update work (this is where load imbalance
-      // surfaces as idle time at the following collective).
+      fill_chunk_tables(ctx, work, c0, c1, hist);
+      // Local histogram construction: each member is charged for its own
+      // share of the update work, derived table or not (this is where
+      // load imbalance surfaces as idle time at the following collective).
       for (std::size_t i = c0; i < c1; ++i) {
-        auto node_hist =
-            std::span<std::int64_t>(hist).subspan((i - c0) * static_cast<std::size_t>(entries),
-                                                  static_cast<std::size_t>(entries));
         for (int m = 0; m < p; ++m) {
           const auto& rows = work[i]->local_rows[static_cast<std::size_t>(m)];
           if (rows.empty()) continue;
-          dtree::accumulate(node_hist, layout, mapper, rows);
           machine.charge_compute(g.rank(m),
                                  static_cast<double>(rows.size()) * num_attrs);
           // Eq. 1's "I/O scan of the training set": the attribute lists are
@@ -440,12 +528,19 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         rows.clear();
         rows.shrink_to_fit();
       }
+      int pending = 0;
       for (int k = 0; k < d.test.num_children; ++k) {
         auto& ch = children[static_cast<std::size_t>(k)];
         if (ch.total_records() > 0) {
           ch.node_id = first + k;
           next.push_back(std::move(ch));
+          ++pending;
         }
+      }
+      // Keep the reduced table for sibling subtraction, unless the
+      // children sit at the depth limit and are never histogrammed.
+      if (tree.node(first).depth < grow.max_depth) {
+        ctx.parent_tables.keep(work[i]->node_id, node_hist, pending);
       }
     }
 

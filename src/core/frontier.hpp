@@ -4,6 +4,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/options.hpp"
@@ -25,6 +28,41 @@ struct NodeWork {
   [[nodiscard]] std::int64_t member_records(int m) const {
     return static_cast<std::int64_t>(local_rows[static_cast<std::size_t>(m)].size());
   }
+};
+
+/// Host-only sibling-subtraction cache (see expand_level). After a split,
+/// the parent's reduced table is kept under the parent's tree id until
+/// its children are histogrammed: each accumulated child is subtracted
+/// from the remainder, and the last pending one copies the remainder
+/// instead of scanning its rows. Counts are exact int64, so a derived
+/// table equals the accumulated one bit for bit. Tables live in fixed
+/// blocks that are reused and never moved, so the cache holds about its
+/// peak number of live entries and allocates once per block.
+class ParentTables {
+ public:
+  /// Keep parent `id`'s reduced table until `pending` children that
+  /// received rows are histogrammed.
+  void keep(int id, std::span<const std::int64_t> table, int pending);
+  /// Children of `id` not yet histogrammed (0 when `id` has no entry).
+  [[nodiscard]] int pending(int id) const;
+  /// An accumulated child of `id`: subtract it from the remainder.
+  void subtract(int id, std::span<const std::int64_t> child);
+  /// The last pending child of `id`: copy the remainder into it and
+  /// erase the entry.
+  void derive(int id, std::span<std::int64_t> child);
+  void clear();
+  [[nodiscard]] std::size_t size() const { return index_.size(); }
+
+ private:
+  struct Entry {
+    std::int64_t* remainder = nullptr;
+    int pending = 0;
+  };
+  static constexpr std::size_t kBlockTables = 64;
+  std::size_t entries_ = 0;  // table length, set by the first keep()
+  std::unordered_map<int, Entry> index_;
+  std::vector<std::unique_ptr<std::int64_t[]>> blocks_;
+  std::vector<std::int64_t*> free_;
 };
 
 /// Run-wide shared state: the dataset, slot machinery, the (replicated)
@@ -128,6 +166,13 @@ class ParContext {
   /// appended to by core/recovery.cpp and copied into ParResult.
   RecoveryStats recovery;
 
+  /// Sibling-subtraction cache. Only the coordinating thread touches it,
+  /// it is never checkpointed, and recovery clears it (a failed attempt
+  /// may have consumed part of an entry).
+  ParentTables parent_tables;
+  /// Child tables derived as parent minus siblings (copied to ParResult).
+  std::int64_t derived_histograms = 0;
+
   /// Result accounting, appended to by the formulations.
   std::int64_t records_moved = 0;
   double histogram_words = 0.0;
@@ -159,10 +204,12 @@ class ParContext {
 /// Expand every node of `frontier` by one level, synchronously within
 /// group `g` (Section 3.1): local histograms per member, all-reduce in
 /// comm_buffer_nodes-sized flushes, identical split selection everywhere,
-/// local row partitioning. Returns the next frontier (children that
-/// received records). `comm_cost_out`, when non-null, accrues the
-/// communication cost charged to each member this level (the quantity the
-/// hybrid's split criterion accumulates).
+/// local row partitioning. On the host, one child per split is derived
+/// from ctx.parent_tables instead of re-scanned; every virtual charge,
+/// all-reduce word and ledger entry is that of the full scan. Returns the
+/// next frontier (children that received records). `comm_cost_out`, when
+/// non-null, accrues the communication cost charged to each member this
+/// level (the quantity the hybrid's split criterion accumulates).
 [[nodiscard]] std::vector<NodeWork> expand_level(
     ParContext& ctx, const mpsim::Group& g, std::vector<NodeWork>& frontier,
     mpsim::Time* comm_cost_out = nullptr);

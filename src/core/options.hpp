@@ -128,6 +128,12 @@ struct ParResult {
   std::int64_t records_moved = 0;
   /// Total histogram words all-reduced.
   double histogram_words = 0.0;
+  /// Host-side child tables derived as parent minus siblings instead of
+  /// accumulated from rows (no effect on any virtual clock).
+  std::int64_t derived_histograms = 0;
+  /// Parent tables still held for sibling subtraction when the build
+  /// ended: 0 unless some split's children were never histogrammed.
+  std::int64_t parent_tables_left = 0;
   /// Per-rank virtual-memory accounts at run end (live/peak bytes per
   /// MemTag). Always populated — byte accounting runs with or without an
   /// observability sink, since it never touches the clocks.

@@ -156,6 +156,10 @@ void recover_from_failure(ParContext& ctx, mpsim::Group& g,
   // checkpoint and the failure (the simulation advances one partition at a
   // time), so a whole-tree copy cannot lose another partition's expansions.
   ctx.tree() = ckpt.tree;
+  // The failed attempt may already have subtracted from or consumed
+  // sibling-subtraction entries; dropping them all is always safe, since
+  // a node without an entry is accumulated from its rows.
+  ctx.parent_tables.clear();
 
   // Rebuild the frontier indexed to the survivor group: survivors keep
   // their own checkpointed shards, and each dead member's rows are cut

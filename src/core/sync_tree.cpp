@@ -29,6 +29,8 @@ ParResult collect_result(ParContext& ctx) {
   res.rejoins = ctx.rejoins;
   res.records_moved = ctx.records_moved;
   res.histogram_words = ctx.histogram_words;
+  res.derived_histograms = ctx.derived_histograms;
+  res.parent_tables_left = static_cast<std::int64_t>(ctx.parent_tables.size());
   res.recovery = ctx.recovery;
   res.trace = m.trace().events();
   return res;

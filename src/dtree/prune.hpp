@@ -4,10 +4,11 @@
 // ("the time spent on pruning for a large dataset is a small fraction,
 // less than 1% of the initial tree generation") — it is included here for
 // completeness of the sequential library. The <1% does not hold for this
-// implementation: prune costs about 7% of the serial grow at 0.8M rows
-// and 25-35% at 20k rows (micro_bench BM_GrowVsPrune), nearly all of it
-// the exact binomial limit of nodes with n <= 400. That limit is solved
-// once per distinct (errors, n) pair in a prune call.
+// implementation: prune costs 7-10% of core::build_serial at 0.8M binned
+// rows (about 7% on raw k-means columns) and 25-40% of dtree::grow_bfs at
+// 20k rows (micro_bench BM_GrowVsPrune), nearly all of it the exact
+// binomial limit of nodes with n <= 400. That limit is solved once per
+// distinct (errors, n) pair in a prune call.
 #pragma once
 
 #include "dtree/tree.hpp"

@@ -1,6 +1,8 @@
 #include "dtree/slots.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace pdt::dtree {
 
@@ -23,13 +25,25 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
 
 SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     : ds_(&ds), cont_bins_(cont_bins) {
-  const int n = ds.num_attributes();
-  bins_.resize(static_cast<std::size_t>(n));
-  for (int a = 0; a < n; ++a) {
-    if (!ds.schema().attr(a).is_continuous()) continue;
-    assert(cont_bins >= 2);
-    const auto [lo, hi] = ds.cont_range(a);
-    bins_[static_cast<std::size_t>(a)] = data::UniformBins(lo, hi, cont_bins);
+  if (cont_bins < 2 || cont_bins > 256) {
+    throw std::invalid_argument(
+        "SlotMapper: cont_bins must be in [2, 256], got " +
+        std::to_string(cont_bins));
+  }
+  const auto n = static_cast<std::size_t>(ds.num_attributes());
+  bins_.resize(n);
+  slot_cols_.resize(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    const int attr = static_cast<int>(a);
+    if (!ds.schema().attr(attr).is_continuous()) continue;
+    const auto [lo, hi] = ds.cont_range(attr);
+    bins_[a] = data::UniformBins(lo, hi, cont_bins);
+    const std::vector<double>& col = ds.cont_column(attr);
+    std::vector<std::uint8_t>& slots = slot_cols_[a];
+    slots.resize(col.size());
+    for (std::size_t row = 0; row < col.size(); ++row) {
+      slots[row] = static_cast<std::uint8_t>(bins_[a].bin(col[row]));
+    }
   }
 }
 

@@ -8,22 +8,24 @@
 //   * a continuous attribute's slots are micro-bins over its global range
 //     (the histogram the per-node discretizers of Section 3.4 consume).
 //
-// Slot lookup is O(1) and exact. A categorical slot is the stored value. A
-// continuous slot is data::UniformBins::bin, which guesses the equal-width
-// bin arithmetically and then steps to the upper_bound position over the
-// same cut points a binary search would use, so it returns the same slot
-// for every value and every tree stays the same. SlotMapper::for_each_slot
-// resolves one attribute's kind and column once and then runs a tight loop
-// over the rows; histogram accumulation and row partitioning both go
-// through it.
+// A categorical slot is the stored value. A continuous slot is computed
+// once, when the SlotMapper is built, by data::UniformBins::bin (an exact
+// O(1) equal-width guess corrected over the same cut points a binary
+// search would use) and kept in a uint8 column per continuous attribute,
+// so every slot is the one the lookup would return and every tree stays
+// the same. SlotMapper::for_each_slot resolves one attribute's column
+// once and then runs a plain gather over the rows, for both kinds;
+// histogram accumulation and row partitioning both go through it. On
+// 0.8M-row Figure-8 data the gather costs about 1 ns per update, against
+// 3.7-3.8 ns for the per-row lookup it replaced (perfbench
+// dtree.accumulate_ns_per_update, 4-vCPU Xeon host).
 //
-// Slots are computed on the fly, never stored per row. A uint16 slot
-// column per attribute would make accumulation a pure gather, but a
-// SlotMapper lives as long as a build, so the columns (2 bytes x rows x
-// attributes) add straight to the peak resident set of whatever holds a
-// mapper next to its communication buffers: about 8% on a 0.8M-row
-// Figure-8 build at P=128. The O(1) lookup costs a few arithmetic
-// operations and compares per value instead, and no memory.
+// The columns cost 1 byte x rows x continuous attributes for as long as a
+// build holds its mapper: 4.8 MB at 0.8M Quest rows. With the
+// sibling-subtraction cache of core::expand_level, perfbench peak_rss_mib
+// rose 115.9 -> 121.6 MiB (+4.9%) on the Figure-8 workload; binned data,
+// where every attribute is categorical, has no column. A byte caps
+// cont_bins at 256; the constructor rejects anything outside [2, 256].
 //
 // AttrLayout packs all per-attribute class-distribution tables for one
 // tree node into a single flat buffer of int64 counts — this buffer is the
@@ -89,23 +91,22 @@ class AttrLayout {
 class SlotMapper {
  public:
   SlotMapper() = default;
+  /// Bins every continuous column into its slot column. Throws
+  /// std::invalid_argument unless 2 <= cont_bins <= 256.
   SlotMapper(const data::Dataset& ds, int cont_bins);
 
   [[nodiscard]] int cont_bins() const { return cont_bins_; }
 
   /// Call f(row, slot) for each row of `rows`, in order. The attribute's
-  /// kind and column are looked up once, not per row.
+  /// column is looked up once, not per row.
   template <class F>
   void for_each_slot(int attr, std::span<const data::RowId> rows,
                      F&& f) const {
     if (ds_->schema().attr(attr).is_categorical()) {
-      const std::int32_t* col = ds_->cat_column(attr).data();
-      for (const data::RowId row : rows) f(row, static_cast<int>(col[row]));
-      return;
+      gather(ds_->cat_column(attr).data(), rows, f);
+    } else {
+      gather(slot_cols_[static_cast<std::size_t>(attr)].data(), rows, f);
     }
-    const double* col = ds_->cont_column(attr).data();
-    const data::UniformBins& bins = bins_[static_cast<std::size_t>(attr)];
-    for (const data::RowId row : rows) f(row, bins.bin(col[row]));
   }
 
   /// Slot of a raw continuous value.
@@ -133,6 +134,12 @@ class SlotMapper {
   const data::Dataset* ds_ = nullptr;
   int cont_bins_ = 0;
   std::vector<data::UniformBins> bins_;  // no cuts for categorical attrs
+  std::vector<std::vector<std::uint8_t>> slot_cols_;  // empty if categorical
+
+  template <class T, class F>
+  static void gather(const T* col, std::span<const data::RowId> rows, F& f) {
+    for (const data::RowId row : rows) f(row, static_cast<int>(col[row]));
+  }
 };
 
 }  // namespace pdt::dtree

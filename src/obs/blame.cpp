@@ -67,6 +67,21 @@ std::vector<BlameEdge> blame_edges(const mpsim::EventRecorder& rec) {
         }
         break;
       }
+      case Type::Retry: {
+        // A failed collective attempt: every member waits out the
+        // backed-off detection window, blamed on the faulty rank (the
+        // arithmetic of Machine::admit_collective and pdt-replay).
+        mpsim::Time horizon = 0.0;
+        for (const mpsim::Rank r : e.members) {
+          horizon = std::max(horizon, at(clocks, r));
+        }
+        const mpsim::Time deadline = horizon + rec.cost().t_timeout * e.mult;
+        for (const mpsim::Rank r : e.members) {
+          blame(r, e.rank, kRankFailurePhase, deadline - at(clocks, r));
+          at(clocks, r) = deadline;
+        }
+        break;
+      }
       case Type::Wait: {
         // Absolute-time wait: no holder identity to blame.
         if (e.until_us > at(clocks, e.rank)) at(clocks, e.rank) = e.until_us;

@@ -3,6 +3,9 @@
 // awkwardly-shaped workloads, not just the benchmark sweet spot.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
@@ -149,6 +152,30 @@ TEST(Robustness, DifferentSeedsDifferentDistributionSameTree) {
     opt.seed = seed;
     const ParResult res = build_hybrid(ds, opt);
     EXPECT_TRUE(res.tree.same_as(serial.tree)) << "seed " << seed;
+  }
+}
+
+TEST(Robustness, ContBinsOutsideTwoTo256FailBeforeAnyWork) {
+  // The slot columns are one byte per row, so the mapper every
+  // formulation builds first rejects cont_bins outside [2, 256], naming
+  // the value, instead of dying in the boundary code or wrapping a slot.
+  const data::Dataset ds = data::quest_generate(200, {.function = 2, .seed = 7});
+  for (const int bins : {0, 1, -3, 257}) {
+    for (const Formulation f :
+         {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
+      ParOptions opt;
+      opt.num_procs = 4;
+      opt.grow.cont_bins = bins;
+      try {
+        (void)build(f, ds, opt);
+        ADD_FAILURE() << to_string(f) << " accepted cont_bins " << bins;
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("cont_bins"), std::string::npos) << what;
+        EXPECT_NE(what.find("got " + std::to_string(bins)), std::string::npos)
+            << what;
+      }
+    }
   }
 }
 

@@ -97,7 +97,7 @@ TEST(Histogram, AccumulateMatchesNaiveLoopOnGolf) {
 TEST(Histogram, AccumulateMatchesNaiveLoopOnRawQuest) {
   const data::Dataset ds =
       data::quest_generate(5000, {.function = 2, .seed = 9});
-  for (const int bins : {3, 32, 256}) expect_matches_naive(ds, bins);
+  for (const int bins : {2, 3, 32, 256}) expect_matches_naive(ds, bins);
 }
 
 TEST(Histogram, AccumulateMatchesDirectCounts) {

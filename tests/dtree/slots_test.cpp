@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "data/golf.hpp"
 #include "data/quest.hpp"
+#include "dtree/builder.hpp"
 
 namespace pdt::dtree {
 namespace {
@@ -78,6 +81,49 @@ TEST(SlotMapper, ContinuousBinsCoverRange) {
   // Humidity range [65, 96]: min maps to slot 0, max to slot 3.
   EXPECT_EQ(mapper.slot_of_value(data::golf_attr::kHumidity, 65.0), 0);
   EXPECT_EQ(mapper.slot_of_value(data::golf_attr::kHumidity, 96.0), 3);
+}
+
+TEST(SlotMapper, StoredSlotsEqualTheLookupUpTo256Bins) {
+  // The byte column holds UniformBins::bin of every value, up to the
+  // top slot 255 a uint8 can hold.
+  const data::Dataset ds = data::quest_generate(3000, {.seed = 4});
+  for (const int bins : {2, 32, 256}) {
+    const SlotMapper mapper(ds, bins);
+    for (int a = 0; a < ds.num_attributes(); ++a) {
+      if (!ds.schema().attr(a).is_continuous()) continue;
+      const auto slots = slots_of(mapper, a);
+      for (std::size_t i = 0; i < ds.num_rows(); ++i) {
+        ASSERT_EQ(slots[i], mapper.slot_of_value(a, ds.cont(a, i)))
+            << bins << " bins, attr " << a << ", row " << i;
+      }
+    }
+  }
+}
+
+/// `f` must throw std::invalid_argument naming cont_bins and its value.
+template <class F>
+void expect_rejects_cont_bins(int bins, F&& f) {
+  try {
+    f();
+    ADD_FAILURE() << "cont_bins " << bins << " accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cont_bins"), std::string::npos) << what;
+    EXPECT_NE(what.find("got " + std::to_string(bins)), std::string::npos)
+        << what;
+  }
+}
+
+TEST(SlotMapper, RejectsContBinsOutsideTwoTo256) {
+  const data::Dataset ds = data::quest_generate(200, {.seed = 2});
+  for (const int bins : {0, 1, -3, 257}) {
+    expect_rejects_cont_bins(bins, [&] { (void)SlotMapper(ds, bins); });
+    expect_rejects_cont_bins(bins, [&] {
+      GrowOptions opt;
+      opt.cont_bins = bins;
+      (void)grow_bfs(ds, opt);
+    });
+  }
 }
 
 TEST(SlotMapper, BoundariesAreMonotoneAndConsistent) {

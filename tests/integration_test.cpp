@@ -111,8 +111,9 @@ TEST(Shapes, PruningIsCheapRelativeToGrowth) {
   // Section 2.1 calls pruning <1% of initial tree generation. This checks
   // a work proxy, not time: pruning visits each node once, growth touches
   // each record once per level. Measured host time is not under 1% here
-  // (prune is ~7% of the serial grow at 0.8M rows, 25-35% at 20k; see
-  // BM_GrowVsPrune), because small nodes run an exact binomial bisection.
+  // (prune is 7-10% of the serial build at 0.8M rows, 25-40% of grow_bfs
+  // at 20k; see BM_GrowVsPrune), because small nodes run an exact
+  // binomial bisection.
   const data::Dataset ds = data::discretize_uniform(
       data::quest_generate(8000, {.function = 2, .seed = 23}),
       data::quest_paper_bins());

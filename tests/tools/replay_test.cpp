@@ -20,6 +20,7 @@
 #include "mpsim/event_log.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"
+#include "obs/blame.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 
@@ -101,6 +102,44 @@ TEST(ReplayFaultTest, IdentityHoldsThroughFailureDetectionAndRecovery) {
               log.recorded_clocks[static_cast<std::size_t>(rank)]);
   }
   EXPECT_EQ(r.max_clock, res.parallel_time);
+}
+
+TEST(ReplayFaultTest, InProcessBlameMatchesReplayThroughRetries) {
+  // Transient faults only: the backoff windows are the sole rank-failure
+  // idle, so the in-process blame must charge them to the faulty rank
+  // exactly as the offline replay does, and its shadow clocks must stay
+  // in step for every edge recorded after them.
+  mpsim::FaultPlan plan;
+  plan.transient_timeout(/*rank=*/1, /*level=*/0, /*count=*/2);
+  plan.transient_timeout(/*rank=*/2, /*level=*/1, /*count=*/1);
+  core::ParOptions opt;
+  opt.num_procs = 4;
+  opt.fault = &plan;
+  obs::Observability o;
+  o.enable_event_log();
+  opt.obs = &o;
+  const core::ParResult res =
+      core::build(core::Formulation::Sync, workload(2000), opt);
+  ASSERT_EQ(res.recovery.retries, 3u);
+
+  const std::vector<obs::BlameEdge> live = obs::blame_edges(*o.event_log());
+  const EventLog log = round_trip(*o.event_log());
+  const ReplayResult r = replay_log(log, log.cost, /*with_blame=*/true);
+  ASSERT_EQ(live.size(), r.blame.size());
+  int faulty_edges = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].idler, r.blame[i].idler) << i;
+    EXPECT_EQ(live[i].idler_level, r.blame[i].idler_level) << i;
+    EXPECT_EQ(live[i].holder, r.blame[i].holder) << i;
+    EXPECT_EQ(live[i].holder_phase, r.blame[i].holder_phase) << i;
+    EXPECT_EQ(live[i].idle_us, r.blame[i].idle_us) << i;
+    EXPECT_EQ(live[i].idle_pct, r.blame[i].idle_pct) << i;
+    if (live[i].holder_phase == obs::kRankFailurePhase) ++faulty_edges;
+  }
+  // Every member, the faulty rank included, idles out the window: one
+  // edge per (member, faulty rank) for rank 1's two windows at level 0
+  // and rank 2's at level 1.
+  EXPECT_EQ(faulty_edges, 8);
 }
 
 TEST(ReplayWhatIfTest, DoublingEveryConstantDoublesEveryClock) {
