@@ -40,7 +40,6 @@
 #include "dtree/metrics.hpp"
 #include "dtree/serialize.hpp"
 #include "mpsim/fault.hpp"
-#include "obs/blame.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 
@@ -75,19 +74,21 @@ static void print_top_segments(const obs::Observability& o) {
 // The three heaviest idle-blame edges: who was everyone waiting on, and
 // during which of the holder's phases? (See DESIGN.md §8.)
 static void print_top_blame(const obs::Observability& o) {
-  if (o.event_log() == nullptr) return;
-  const std::vector<obs::BlameEdge> edges = obs::blame_edges(*o.event_log());
+  const mpsim::EventRecorder* rec = o.event_log();
+  if (rec == nullptr) return;
+  mpsim::ClockFold fold(rec->nprocs(), rec->cost(), rec->cost(),
+                        /*blame=*/true);
+  for (const mpsim::ExecEvent& e : rec->events()) fold.apply(e);
+  const std::vector<mpsim::BlameEdge> edges = fold.blame();
   if (edges.empty()) return;
   std::printf("     wait-for blame, top 3:\n");
   for (std::size_t i = 0; i < edges.size() && i < 3; ++i) {
-    const obs::BlameEdge& e = edges[i];
+    const mpsim::BlameEdge& e = edges[i];
     std::string held;
-    if (e.holder_phase == obs::kRankFailurePhase) {
+    if (e.holder_phase == mpsim::kRankFailurePhase) {
       held = "(rank failure)";
     } else {
-      held = std::string(
-          o.event_log()->phase_names()[static_cast<std::size_t>(
-              e.holder_phase)]);
+      held = rec->phase_names()[static_cast<std::size_t>(e.holder_phase)];
     }
     std::printf("       %4.1f%%  rank %d (level %d) waits on rank %d  %s  "
                 "%.1f ms\n",

@@ -145,7 +145,9 @@ TEST(FtEquivalence, TwoDeathsAtDifferentLevels) {
     // is still busy at that level.
     EXPECT_GE(res.recovery.failures, 1);
     EXPECT_LE(res.recovery.failures, 2);
-    if (f == Formulation::Sync) EXPECT_EQ(res.recovery.failures, 2);
+    if (f == Formulation::Sync) {
+      EXPECT_EQ(res.recovery.failures, 2);
+    }
   }
 }
 

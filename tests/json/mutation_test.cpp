@@ -2,8 +2,11 @@
 // applied to a pdt-model-v1 document and a small pdt-events-v1 log, each
 // mutant fed through json_parse, the model-node reader and
 // tree_from_nodes. Every mutant must fail with an error message or yield
-// a tree that is consistent with its own canonical form. Run under the
-// sanitizers, this is the fuzz gate for the one JSON reader.
+// a tree that is consistent with its own canonical form. Event-log
+// mutants that parse as JSON also go through pdt-replay's
+// parse_event_log and an identity replay: each fails with a message or
+// replays. Run under the sanitizers, this is the fuzz gate for the one
+// JSON reader and the events reader.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -20,6 +23,7 @@
 #include "mpsim/event_log.hpp"
 #include "mpsim/machine.hpp"
 #include "obs/export.hpp"
+#include "replay/replay.hpp"
 
 namespace pdt {
 namespace {
@@ -52,6 +56,8 @@ struct Tally {
   int reader_errors = 0;
   int replay_errors = 0;
   int trees = 0;
+  int log_errors = 0;  ///< parse_event_log rejected the document
+  int replays = 0;     ///< parsed as a log and replayed
 };
 
 /// Feed one mutant through the whole read path; returns false (with a
@@ -144,19 +150,44 @@ TEST(ParserMutation, ModelDocumentMutantsFailCleanlyOrRoundTrip) {
   EXPECT_GT(tally.trees, 1);
 }
 
+/// Feed a mutant that parses as JSON through the events reader; a log
+/// it accepts must replay (blame on) to one clock per rank.
+bool check_event_log_mutant(const std::string& text, Tally* tally) {
+  JsonValue root;
+  if (!json_parse(text, &root)) return true;  // counted by check_mutant
+  tools::EventLog log;
+  std::string err;
+  if (!tools::parse_event_log(root, &log, &err)) {
+    ++tally->log_errors;
+    EXPECT_FALSE(err.empty()) << "parse_event_log failed silently";
+    return !err.empty();
+  }
+  ++tally->replays;
+  const mpsim::ClockFold fold =
+      tools::replay_log(log, log.cost, /*with_blame=*/true);
+  EXPECT_EQ(fold.clocks().size(), static_cast<std::size_t>(log.nprocs));
+  return fold.clocks().size() == static_cast<std::size_t>(log.nprocs);
+}
+
 TEST(ParserMutation, EventLogMutantsFailCleanlyOrRoundTrip) {
   const std::string doc = events_document();
   Tally tally;
+  ASSERT_TRUE(check_event_log_mutant(doc, &tally));
+  ASSERT_EQ(tally.replays, 1);
   std::mt19937_64 rng(1998);
   for (int i = 0; i < kMutantsPerDocument; ++i) {
     const std::string m = mutate(doc, rng);
     ASSERT_TRUE(check_mutant(m, &tally)) << "mutant " << i << ":\n" << m;
+    ASSERT_TRUE(check_event_log_mutant(m, &tally))
+        << "mutant " << i << ":\n" << m;
   }
   EXPECT_GT(tally.parse_errors, 0);
   // An event log has no "nodes" array: every well-formed mutant stops at
   // the node reader with an error.
   EXPECT_GT(tally.reader_errors, 0);
   EXPECT_EQ(tally.trees, 0);
+  EXPECT_GT(tally.log_errors, 0);
+  EXPECT_GT(tally.replays, 1);
 }
 
 }  // namespace

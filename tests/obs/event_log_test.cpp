@@ -1,8 +1,8 @@
 // The event-sourced execution log (DESIGN.md §8): the recorder's shadow
-// clocks track the machine's bit-exactly through charges, barriers,
-// waits, and timeouts; phase/level stamps land on the right events; and
-// the wait-for blame analyzer attributes idle gaps to the rank (and
-// phase) everyone was waiting on.
+// clocks (an identity ClockFold) track the machine's bit-exactly after
+// every charge, barrier, wait, timeout and retry; phase/level stamps land
+// on the right events; and a blame-on fold attributes idle gaps to the
+// rank (and phase) everyone was waiting on.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -12,37 +12,70 @@
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
 #include "mpsim/event_log.hpp"
+#include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"
-#include "obs/blame.hpp"
 #include "obs/observability.hpp"
 
 namespace pdt::obs {
 namespace {
 
+using mpsim::BlameEdge;
+using mpsim::ClockFold;
 using mpsim::EventRecorder;
 using mpsim::ExecEvent;
 using mpsim::Machine;
+
+/// In-process blame: a blame-on identity fold over the recorded events.
+std::vector<BlameEdge> blame_edges(const EventRecorder& rec) {
+  ClockFold fold(rec.nprocs(), rec.cost(), rec.cost(), /*blame=*/true);
+  for (const ExecEvent& e : rec.events()) fold.apply(e);
+  return fold.blame();
+}
 
 TEST(EventLogTest, ShadowClocksTrackMachineBitExactly) {
   Machine m(4);
   EventRecorder rec;
   m.set_event_recorder(&rec);
+  mpsim::FaultPlan plan;
+  plan.transient_timeout(/*rank=*/1, /*level=*/0, /*count=*/2);
+  m.arm_faults(plan);
+  m.fault()->enter_level(0, {0, 1, 2, 3});
+
+  const auto expect_in_step = [&](const char* after) {
+    ASSERT_EQ(rec.nprocs(), 4);
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(rec.clocks()[static_cast<std::size_t>(r)], m.clock(r))
+          << "rank " << r << " shadow clock diverged after " << after;
+    }
+    EXPECT_EQ(rec.max_clock(), m.max_clock()) << after;
+  };
 
   m.charge_compute_time(0, 10.7);
+  expect_in_step("compute");
   m.charge_compute_time(1, 3.3);
+  expect_in_step("compute");
   m.charge_comm(2, 40.0 + 5 * 0.11, 5.0, 5.0, 1, 40.0);
+  expect_in_step("comm");
   m.charge_io(3, 2.5);
+  expect_in_step("io");
   m.barrier_over({0, 1, 2, 3});
+  expect_in_step("barrier");
   m.charge_compute_time(1, 0.1);
+  expect_in_step("compute");
   m.wait_until(0, 55.0);
+  expect_in_step("wait_until");
   m.wait_for(2, 1);
-
-  ASSERT_EQ(rec.nprocs(), 4);
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(rec.clocks()[static_cast<std::size_t>(r)], m.clock(r))
-        << "rank " << r << " shadow clock diverged";
-  }
-  EXPECT_EQ(rec.max_clock(), m.max_clock());
+  expect_in_step("wait_for");
+  m.charge_compute_time(3, 7.25);
+  expect_in_step("compute");
+  (void)m.charge_timeout({0, 1, 3}, /*dead=*/2);
+  expect_in_step("charge_timeout");
+  // Rank 1's transient fault fails two attempts: two backed-off windows.
+  m.admit_collective({0, 1, 2, 3}, "all-reduce");
+  EXPECT_EQ(m.retries(), 2u);
+  expect_in_step("admit_collective");
+  m.charge_compute_time(2, 1.5);
+  expect_in_step("compute");
 }
 
 TEST(EventLogTest, PhaseAndLevelStampsLandOnCharges) {

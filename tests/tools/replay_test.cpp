@@ -20,7 +20,6 @@
 #include "mpsim/event_log.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"
-#include "obs/blame.hpp"
 #include "obs/export.hpp"
 #include "obs/observability.hpp"
 
@@ -64,15 +63,15 @@ TEST_P(ReplayIdentity, ReproducesEveryClockBitExactly) {
   ASSERT_EQ(log.nprocs, procs);
   ASSERT_GT(log.events.size(), 0u);
 
-  const ReplayResult r = replay_log(log, log.cost);
-  EXPECT_FALSE(r.unscalable);
+  const mpsim::ClockFold r = replay_log(log, log.cost);
+  EXPECT_FALSE(r.unscalable());
   for (int rank = 0; rank < procs; ++rank) {
-    EXPECT_EQ(r.clocks[static_cast<std::size_t>(rank)],
+    EXPECT_EQ(r.clocks()[static_cast<std::size_t>(rank)],
               log.recorded_clocks[static_cast<std::size_t>(rank)])
         << "rank " << rank << " clock diverged on identity replay";
   }
-  EXPECT_EQ(r.max_clock, log.recorded_max_clock);
-  EXPECT_EQ(r.max_clock, res.parallel_time);
+  EXPECT_EQ(r.max_clock(), log.recorded_max_clock);
+  EXPECT_EQ(r.max_clock(), res.parallel_time);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,12 +95,12 @@ TEST(ReplayFaultTest, IdentityHoldsThroughFailureDetectionAndRecovery) {
   ASSERT_EQ(res.recovery.failures, 1);
 
   const EventLog log = round_trip(*o.event_log());
-  const ReplayResult r = replay_log(log, log.cost);
+  const mpsim::ClockFold r = replay_log(log, log.cost);
   for (int rank = 0; rank < 4; ++rank) {
-    EXPECT_EQ(r.clocks[static_cast<std::size_t>(rank)],
+    EXPECT_EQ(r.clocks()[static_cast<std::size_t>(rank)],
               log.recorded_clocks[static_cast<std::size_t>(rank)]);
   }
-  EXPECT_EQ(r.max_clock, res.parallel_time);
+  EXPECT_EQ(r.max_clock(), res.parallel_time);
 }
 
 TEST(ReplayFaultTest, InProcessBlameMatchesReplayThroughRetries) {
@@ -122,19 +121,24 @@ TEST(ReplayFaultTest, InProcessBlameMatchesReplayThroughRetries) {
       core::build(core::Formulation::Sync, workload(2000), opt);
   ASSERT_EQ(res.recovery.retries, 3u);
 
-  const std::vector<obs::BlameEdge> live = obs::blame_edges(*o.event_log());
-  const EventLog log = round_trip(*o.event_log());
-  const ReplayResult r = replay_log(log, log.cost, /*with_blame=*/true);
-  ASSERT_EQ(live.size(), r.blame.size());
+  const mpsim::EventRecorder& rec = *o.event_log();
+  mpsim::ClockFold in_process(rec.nprocs(), rec.cost(), rec.cost(),
+                              /*blame=*/true);
+  for (const mpsim::ExecEvent& e : rec.events()) in_process.apply(e);
+  const std::vector<mpsim::BlameEdge> live = in_process.blame();
+  const EventLog log = round_trip(rec);
+  const std::vector<mpsim::BlameEdge> replayed =
+      replay_log(log, log.cost, /*with_blame=*/true).blame();
+  ASSERT_EQ(live.size(), replayed.size());
   int faulty_edges = 0;
   for (std::size_t i = 0; i < live.size(); ++i) {
-    EXPECT_EQ(live[i].idler, r.blame[i].idler) << i;
-    EXPECT_EQ(live[i].idler_level, r.blame[i].idler_level) << i;
-    EXPECT_EQ(live[i].holder, r.blame[i].holder) << i;
-    EXPECT_EQ(live[i].holder_phase, r.blame[i].holder_phase) << i;
-    EXPECT_EQ(live[i].idle_us, r.blame[i].idle_us) << i;
-    EXPECT_EQ(live[i].idle_pct, r.blame[i].idle_pct) << i;
-    if (live[i].holder_phase == obs::kRankFailurePhase) ++faulty_edges;
+    EXPECT_EQ(live[i].idler, replayed[i].idler) << i;
+    EXPECT_EQ(live[i].idler_level, replayed[i].idler_level) << i;
+    EXPECT_EQ(live[i].holder, replayed[i].holder) << i;
+    EXPECT_EQ(live[i].holder_phase, replayed[i].holder_phase) << i;
+    EXPECT_EQ(live[i].idle_us, replayed[i].idle_us) << i;
+    EXPECT_EQ(live[i].idle_pct, replayed[i].idle_pct) << i;
+    if (live[i].holder_phase == mpsim::kRankFailurePhase) ++faulty_edges;
   }
   // Every member, the faulty rank included, idles out the window: one
   // edge per (member, faulty rank) for rank 1's two windows at level 0
@@ -156,16 +160,16 @@ TEST(ReplayWhatIfTest, DoublingEveryConstantDoublesEveryClock) {
   m.barrier_over({0, 1});
 
   const EventLog log = round_trip(rec);
-  ReplayCost doubled = log.cost;
+  mpsim::CostModel doubled = log.cost;
   doubled.t_s *= 2.0;
   doubled.t_w *= 2.0;
   doubled.t_c *= 2.0;
   doubled.t_io *= 2.0;
   doubled.t_timeout *= 2.0;
-  const ReplayResult r = replay_log(log, doubled);
-  EXPECT_FALSE(r.unscalable);
+  const mpsim::ClockFold r = replay_log(log, doubled);
+  EXPECT_FALSE(r.unscalable());
   for (int rank = 0; rank < 2; ++rank) {
-    EXPECT_EQ(r.clocks[static_cast<std::size_t>(rank)],
+    EXPECT_EQ(r.clocks()[static_cast<std::size_t>(rank)],
               2.0 * log.recorded_clocks[static_cast<std::size_t>(rank)]);
   }
 }
@@ -181,9 +185,9 @@ TEST(ReplayWhatIfTest, RaisingBandwidthCostNeverSpeedsUpTheRun) {
 
   double prev = 0.0;
   for (const double tw : {0.05, 0.11, 0.2, 0.5, 1.0}) {
-    ReplayCost c = log.cost;
+    mpsim::CostModel c = log.cost;
     c.t_w = tw;
-    const double clock = replay_log(log, c).max_clock;
+    const double clock = replay_log(log, c).max_clock();
     EXPECT_GE(clock, prev) << "t_w=" << tw;
     prev = clock;
   }
@@ -206,6 +210,10 @@ TEST(ReplaySweepTest, ParsesGridsAndSinglePoints) {
   EXPECT_FALSE(parse_sweep_spec("t_q=1:2:1", &axes, &err));  // unknown key
   EXPECT_FALSE(parse_sweep_spec("t_s=5:1:1", &axes, &err));  // hi < lo
   EXPECT_FALSE(parse_sweep_spec("t_s", &axes, &err));        // no value
+  EXPECT_FALSE(parse_sweep_spec("t_w=-0.2:0.0:0.1", &axes, &err));  // LO < 0
+  EXPECT_NE(err.find("t_w=-0.2"), std::string::npos) << err;
+  EXPECT_FALSE(parse_sweep_spec("t_w=0:1:inf", &axes, &err));  // 0 * inf
+  EXPECT_FALSE(parse_sweep_spec("t_w=0:1:nan", &axes, &err));
 }
 
 TEST(ReplayCheckTest, CorruptedRecordedClockFailsTheGate) {
@@ -261,8 +269,8 @@ TEST(ReplayHostTest, OverlayRoundTripsAndIdentityStillHolds) {
 
   // The overlay is bookkeeping only — the identity replay of the event
   // stream itself must still be bit-exact.
-  const ReplayResult r = replay_log(log, log.cost);
-  EXPECT_EQ(r.max_clock, log.recorded_max_clock);
+  const mpsim::ClockFold r = replay_log(log, log.cost);
+  EXPECT_EQ(r.max_clock(), log.recorded_max_clock);
 }
 
 TEST(ReplayHostTest, RunReplayChartsPredictedVsMeasuredScaling) {

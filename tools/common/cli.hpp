@@ -49,8 +49,7 @@ bool load_json_file(const CliSpec& spec, const std::string& path,
 
 /// Write `content` to `path` crash-safely: stream to `<path>.tmp<pid>`,
 /// then rename onto the final path (the tools-side mirror of
-/// obs::AtomicFile — the tools deliberately do not link the simulator
-/// libraries). On failure prints "<tool>: cannot write <path>" to stderr,
+/// obs::AtomicFile — the tools do not link the obs library). On failure prints "<tool>: cannot write <path>" to stderr,
 /// removes the temp, and returns false (callers exit kExitFail — output,
 /// not input, failed).
 bool write_file_atomic(const CliSpec& spec, const std::string& path,

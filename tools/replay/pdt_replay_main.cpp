@@ -83,10 +83,10 @@ int main(int argc, char** argv) {
         return usage(kSpec);
       }
       const std::string key(kv.substr(0, eq));
-      ReplayCost probe;
-      if (!probe.set(key, v)) {
-        std::fprintf(stderr, "pdt-replay: unknown cost constant \"%s\"\n",
-                     key.c_str());
+      pdt::mpsim::CostModel probe;
+      std::string error;
+      if (!set_cost_constant(&probe, key, v, &error)) {
+        std::fprintf(stderr, "pdt-replay: %s\n", error.c_str());
         return kExitUsage;
       }
       opt.overrides.emplace_back(key, v);

@@ -1,51 +1,37 @@
 #include "replay/replay.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 
 namespace pdt::tools {
 
-namespace {
-
-int ceil_log2_int(int p) {
-  int bits = 0;
-  for (int v = 1; v < p; v <<= 1) ++bits;
-  return bits;
-}
-
-/// Rescale factor for one constant. recorded == target yields exactly
-/// 1.0 so the identity replay multiplies every charge by 1.0 — an IEEE
-/// no-op that keeps the clocks bit-exact. A recorded 0 with a nonzero
-/// target is unscalable: the log carries no term proportional to that
-/// constant, so the factor stays 1 and the caller is flagged.
-double ratio(double recorded, double target, bool* unscalable) {
-  if (recorded == target) return 1.0;
-  if (recorded == 0.0) {
-    *unscalable = true;
-    return 1.0;
-  }
-  return target / recorded;
-}
-
-}  // namespace
-
-bool ReplayCost::set(std::string_view key, double v) {
-  if (key == "t_s") {
-    t_s = v;
-  } else if (key == "t_w") {
-    t_w = v;
-  } else if (key == "t_c") {
-    t_c = v;
-  } else if (key == "t_io") {
-    t_io = v;
-  } else if (key == "t_timeout") {
-    t_timeout = v;
-  } else {
+bool set_cost_constant(mpsim::CostModel* cost, std::string_view key,
+                       double v, std::string* error) {
+  double* slot = key == "t_s"         ? &cost->t_s
+                 : key == "t_w"       ? &cost->t_w
+                 : key == "t_c"       ? &cost->t_c
+                 : key == "t_io"      ? &cost->t_io
+                 : key == "t_timeout" ? &cost->t_timeout
+                                      : nullptr;
+  if (slot == nullptr) {
+    if (error != nullptr) {
+      *error = "unknown cost constant \"" + std::string(key) + "\"";
+    }
     return false;
   }
+  if (!std::isfinite(v) || v < 0.0) {
+    if (error != nullptr) {
+      char value[32];
+      std::snprintf(value, sizeof value, "%g", v);
+      *error = std::string(key) + "=" + value +
+               ": a cost constant must be finite and >= 0";
+    }
+    return false;
+  }
+  *slot = v;
   return true;
 }
 
@@ -63,11 +49,12 @@ bool parse_event_log(const JsonValue& root, EventLog* out,
   if (out->nprocs < 1) return fail("nprocs must be >= 1");
 
   const JsonValue& cm = root.get("cost_model");
-  out->cost.t_s = cm.get("t_s").as_double();
-  out->cost.t_w = cm.get("t_w").as_double();
-  out->cost.t_c = cm.get("t_c").as_double();
-  out->cost.t_io = cm.get("t_io").as_double();
-  out->cost.t_timeout = cm.get("t_timeout").as_double();
+  for (const char* key : {"t_s", "t_w", "t_c", "t_io", "t_timeout"}) {
+    std::string why;
+    if (!set_cost_constant(&out->cost, key, cm.get(key).as_double(), &why)) {
+      return fail("cost_model: " + why);
+    }
+  }
 
   const JsonValue& meta = root.get("meta");
   out->formulation = meta.get("formulation").as_string();
@@ -92,6 +79,7 @@ bool parse_event_log(const JsonValue& root, EventLog* out,
     return true;
   };
 
+  using Type = mpsim::ExecEvent::Type;
   out->events.clear();
   const JsonValue& events = root.get("events");
   if (!events.is_array()) return fail("events is not an array");
@@ -99,52 +87,50 @@ bool parse_event_log(const JsonValue& root, EventLog* out,
   for (std::size_t i = 0; i < events.size(); ++i) {
     const JsonValue& e = events.at(i);
     const std::string& tag = e.at(0).as_string();
-    ReplayEvent ev;
+    mpsim::ExecEvent ev;
     bool ok = true;
-    if (tag == "cp" || tag == "io") {
-      ev.tag = tag == "cp" ? ReplayEvent::Tag::Compute : ReplayEvent::Tag::Io;
+    if (tag == "cp" || tag == "io" || tag == "cm") {
+      ev.type = Type::Charge;
       ev.rank = static_cast<int>(e.at(1).as_int(-1));
-      ev.dt = e.at(2).as_double();
-      ev.phase = static_cast<int>(e.at(3).as_int());
-      ev.level = static_cast<int>(e.at(4).as_int(-1));
-      ok = rank_ok(ev.rank);
-    } else if (tag == "cm") {
-      ev.tag = ReplayEvent::Tag::Comm;
-      ev.rank = static_cast<int>(e.at(1).as_int(-1));
-      ev.dt = e.at(2).as_double();
-      ev.lat = e.at(3).as_double();
-      ev.words_sent = e.at(4).as_double();
-      ev.words_received = e.at(5).as_double();
-      ev.messages = static_cast<std::uint64_t>(e.at(6).as_int());
-      ev.phase = static_cast<int>(e.at(7).as_int());
-      ev.level = static_cast<int>(e.at(8).as_int(-1));
+      ev.dt_us = e.at(2).as_double();
+      std::size_t stamp = 3;  // index of the phase/level stamp
+      if (tag == "cm") {
+        ev.kind = mpsim::ChargeKind::Comm;
+        ev.latency_us = e.at(3).as_double();
+        ev.words_sent = e.at(4).as_double();
+        ev.words_received = e.at(5).as_double();
+        ev.messages = static_cast<std::uint64_t>(e.at(6).as_int());
+        stamp = 7;
+      } else if (tag == "io") {
+        ev.kind = mpsim::ChargeKind::Io;
+      }
+      ev.phase = static_cast<int>(e.at(stamp).as_int());
+      ev.level = static_cast<int>(e.at(stamp + 1).as_int(-1));
       ok = rank_ok(ev.rank);
     } else if (tag == "b") {
-      ev.tag = ReplayEvent::Tag::Barrier;
-      ev.label = e.at(1).as_string();
+      ev.type = Type::Barrier;
       ok = parse_members(e.at(2), &ev.members);
     } else if (tag == "to") {
-      ev.tag = ReplayEvent::Tag::Timeout;
+      ev.type = Type::Timeout;
       ev.rank = static_cast<int>(e.at(1).as_int(-1));
       ok = rank_ok(ev.rank) && parse_members(e.at(2), &ev.members);
     } else if (tag == "w") {
-      ev.tag = ReplayEvent::Tag::Wait;
+      ev.type = Type::Wait;
       ev.rank = static_cast<int>(e.at(1).as_int(-1));
-      ev.until = e.at(2).as_double();
+      ev.until_us = e.at(2).as_double();
       ok = rank_ok(ev.rank);
     } else if (tag == "wf") {
-      ev.tag = ReplayEvent::Tag::WaitFor;
+      ev.type = Type::WaitFor;
       ev.rank = static_cast<int>(e.at(1).as_int(-1));
       ev.peer = static_cast<int>(e.at(2).as_int(-1));
       ok = rank_ok(ev.rank) && rank_ok(ev.peer);
     } else if (tag == "g") {
-      ev.tag = ReplayEvent::Tag::Collective;
-      ev.label = e.at(1).as_string();
+      ev.type = Type::Collective;
       ev.words = e.at(2).as_double();
       ev.dim = static_cast<int>(e.at(3).as_int());
       ok = parse_members(e.at(4), &ev.members);
     } else if (tag == "rt") {
-      ev.tag = ReplayEvent::Tag::Retry;
+      ev.type = Type::Retry;
       ev.rank = static_cast<int>(e.at(1).as_int(-1));
       ev.mult = e.at(2).as_double();
       ok = rank_ok(ev.rank) && parse_members(e.at(3), &ev.members);
@@ -192,142 +178,11 @@ bool parse_event_log(const JsonValue& root, EventLog* out,
   return true;
 }
 
-ReplayResult replay_log(const EventLog& log, const ReplayCost& target,
-                        bool with_blame) {
-  ReplayResult res;
-  res.clocks.assign(static_cast<std::size_t>(log.nprocs), 0.0);
-  std::vector<int> last_phase(static_cast<std::size_t>(log.nprocs), 0);
-  std::vector<int> last_level(static_cast<std::size_t>(log.nprocs), -1);
-
-  const double rs = ratio(log.cost.t_s, target.t_s, &res.unscalable);
-  const double rw = ratio(log.cost.t_w, target.t_w, &res.unscalable);
-  const double rc = ratio(log.cost.t_c, target.t_c, &res.unscalable);
-  const double rio = ratio(log.cost.t_io, target.t_io, &res.unscalable);
-
-  // (idler, idler_level, holder, holder_phase) -> accumulated idle.
-  std::map<std::array<int, 4>, double> acc;
-  const auto blame = [&](int idler, int holder, int holder_phase,
-                         double idle) {
-    if (!with_blame || idle <= 0.0) return;
-    acc[{idler, last_level[static_cast<std::size_t>(idler)], holder,
-         holder_phase}] += idle;
-  };
-  const auto clock = [&res](int r) -> double& {
-    return res.clocks[static_cast<std::size_t>(r)];
-  };
-
-  for (const ReplayEvent& e : log.events) {
-    switch (e.tag) {
-      case ReplayEvent::Tag::Compute:
-      case ReplayEvent::Tag::Io:
-      case ReplayEvent::Tag::Comm: {
-        double dt;
-        if (e.tag == ReplayEvent::Tag::Compute) {
-          dt = e.dt * rc;
-        } else if (e.tag == ReplayEvent::Tag::Io) {
-          dt = e.dt * rio;
-        } else if (rs == rw) {
-          // One factor for the whole charge. The split form below is
-          // mathematically equal but NOT bit-identical (lat + (dt - lat)
-          // need not round back to dt), so the identity path must take
-          // this branch.
-          dt = e.dt * rs;
-        } else {
-          dt = e.lat * rs + (e.dt - e.lat) * rw;
-        }
-        clock(e.rank) += dt;
-        res.busy_total += dt;
-        last_phase[static_cast<std::size_t>(e.rank)] = e.phase;
-        last_level[static_cast<std::size_t>(e.rank)] = e.level;
-        break;
-      }
-      case ReplayEvent::Tag::Barrier: {
-        double horizon = 0.0;
-        for (const int r : e.members) horizon = std::max(horizon, clock(r));
-        int holder = e.members.empty() ? 0 : e.members.front();
-        for (const int r : e.members) {
-          if (clock(r) == horizon) {
-            holder = r;
-            break;
-          }
-        }
-        for (const int r : e.members) {
-          if (r != holder) {
-            blame(r, holder, last_phase[static_cast<std::size_t>(holder)],
-                  horizon - clock(r));
-          }
-          if (clock(r) < horizon) clock(r) = horizon;
-        }
-        break;
-      }
-      case ReplayEvent::Tag::Timeout: {
-        double horizon = 0.0;
-        for (const int r : e.members) horizon = std::max(horizon, clock(r));
-        const double deadline = horizon + target.t_timeout;
-        for (const int r : e.members) {
-          blame(r, e.rank, -1, deadline - clock(r));
-          if (clock(r) < deadline) clock(r) = deadline;
-        }
-        break;
-      }
-      case ReplayEvent::Tag::Retry: {
-        // A failed collective attempt: every member waits out the
-        // backed-off detection window (t_timeout * 2^attempt), blamed on
-        // the faulty rank. Same arithmetic as Machine::admit_collective,
-        // so the identity replay stays bit-exact through retries.
-        double horizon = 0.0;
-        for (const int r : e.members) horizon = std::max(horizon, clock(r));
-        const double deadline = horizon + target.t_timeout * e.mult;
-        for (const int r : e.members) {
-          blame(r, e.rank, -1, deadline - clock(r));
-          if (clock(r) < deadline) clock(r) = deadline;
-        }
-        break;
-      }
-      case ReplayEvent::Tag::Wait:
-        // Absolute-time wait: the recorded target is not rescaled (no
-        // remaining call site uses one on the hot paths — see DESIGN §8).
-        if (clock(e.rank) < e.until) clock(e.rank) = e.until;
-        break;
-      case ReplayEvent::Tag::WaitFor: {
-        const double t = clock(e.peer);
-        blame(e.rank, e.peer, last_phase[static_cast<std::size_t>(e.peer)],
-              t - clock(e.rank));
-        if (clock(e.rank) < t) clock(e.rank) = t;
-        break;
-      }
-      case ReplayEvent::Tag::Collective:
-        break;  // annotation only
-    }
-  }
-
-  for (const double c : res.clocks) res.max_clock = std::max(res.max_clock, c);
-
-  if (with_blame) {
-    res.blame.reserve(acc.size());
-    for (const auto& [key, idle] : acc) {
-      ReplayBlameEdge edge;
-      edge.idler = key[0];
-      edge.idler_level = key[1];
-      edge.holder = key[2];
-      edge.holder_phase = key[3];
-      edge.idle_us = idle;
-      const double total = clock(edge.idler);
-      edge.idle_pct = total > 0.0 ? 100.0 * idle / total : 0.0;
-      res.blame.push_back(edge);
-    }
-    std::sort(res.blame.begin(), res.blame.end(),
-              [](const ReplayBlameEdge& a, const ReplayBlameEdge& b) {
-                if (a.idle_us != b.idle_us) return a.idle_us > b.idle_us;
-                if (a.idler != b.idler) return a.idler < b.idler;
-                if (a.holder != b.holder) return a.holder < b.holder;
-                if (a.idler_level != b.idler_level) {
-                  return a.idler_level < b.idler_level;
-                }
-                return a.holder_phase < b.holder_phase;
-              });
-  }
-  return res;
+mpsim::ClockFold replay_log(const EventLog& log,
+                            const mpsim::CostModel& target, bool with_blame) {
+  mpsim::ClockFold fold(log.nprocs, log.cost, target, with_blame);
+  for (const mpsim::ExecEvent& e : log.events) fold.apply(e);
+  return fold;
 }
 
 bool parse_sweep_spec(std::string_view spec, std::vector<SweepAxis>* out,
@@ -348,12 +203,8 @@ bool parse_sweep_spec(std::string_view spec, std::vector<SweepAxis>* out,
     }
     SweepAxis axis;
     axis.key = std::string(part.substr(0, eq));
-    {
-      ReplayCost probe;
-      if (!probe.set(axis.key, 0.0)) {
-        return fail("unknown cost constant \"" + axis.key + "\"");
-      }
-    }
+    mpsim::CostModel probe;
+    if (!set_cost_constant(&probe, axis.key, 0.0, error)) return false;
     const std::string range(part.substr(eq + 1));
     char* end = nullptr;
     axis.lo = std::strtod(range.c_str(), &end);
@@ -372,9 +223,15 @@ bool parse_sweep_spec(std::string_view spec, std::vector<SweepAxis>* out,
       }
       s = end + 1;
       axis.step = std::strtod(s, &end);
-      if (end == s || *end != '\0' || axis.step <= 0.0 || axis.hi < axis.lo) {
+      if (end == s || *end != '\0' || !std::isfinite(axis.step) ||
+          axis.step <= 0.0 || axis.hi < axis.lo) {
         return fail("sweep axis \"" + axis.key + "\": expected LO:HI:STEP with STEP > 0, HI >= LO");
       }
+    }
+    std::string why;
+    if (!set_cost_constant(&probe, axis.key, axis.lo, &why) ||
+        !set_cost_constant(&probe, axis.key, axis.hi, &why)) {
+      return fail("sweep axis \"" + axis.key + "\": " + why);
     }
     out->push_back(std::move(axis));
     if (comma == std::string_view::npos) break;
@@ -391,7 +248,7 @@ int axis_steps(const SweepAxis& a) {
   return 1 + static_cast<int>(std::floor((a.hi - a.lo) / a.step + 1e-9));
 }
 
-void write_cost_fields(std::ostream& os, const ReplayCost& c) {
+void write_cost_fields(std::ostream& os, const mpsim::CostModel& c) {
   os << "\"t_s\": " << json_double_exact(c.t_s)
      << ", \"t_w\": " << json_double_exact(c.t_w)
      << ", \"t_c\": " << json_double_exact(c.t_c)
@@ -399,7 +256,7 @@ void write_cost_fields(std::ostream& os, const ReplayCost& c) {
      << ", \"t_timeout\": " << json_double_exact(c.t_timeout);
 }
 
-void write_blame(std::ostream& os, const std::vector<ReplayBlameEdge>& blame,
+void write_blame(std::ostream& os, const std::vector<mpsim::BlameEdge>& blame,
                  const std::vector<std::string>& phases, int top,
                  const char* indent) {
   os << "[";
@@ -407,7 +264,7 @@ void write_blame(std::ostream& os, const std::vector<ReplayBlameEdge>& blame,
       top >= 0 ? std::min(blame.size(), static_cast<std::size_t>(top))
                : blame.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const ReplayBlameEdge& b = blame[i];
+    const mpsim::BlameEdge& b = blame[i];
     const std::string phase =
         b.holder_phase < 0
             ? "(rank failure)"
@@ -448,8 +305,10 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
   if (main_log == nullptr && !logs.empty()) main_log = &logs[0];
 
   const auto target_for = [&opt](const EventLog& log) {
-    ReplayCost t = log.cost;
-    for (const auto& [key, v] : opt.overrides) t.set(key, v);
+    mpsim::CostModel t = log.cost;
+    for (const auto& [key, v] : opt.overrides) {
+      (void)set_cost_constant(&t, key, v, nullptr);
+    }
     return t;
   };
 
@@ -539,17 +398,17 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
     os << ",\n  \"check\": {\"logs\": [";
     for (std::size_t i = 0; i < logs.size(); ++i) {
       const EventLog& log = logs[i];
-      const ReplayResult r = replay_log(log, log.cost);
-      bool ok = r.max_clock == log.recorded_max_clock;
+      const mpsim::ClockFold r = replay_log(log, log.cost);
+      bool ok = r.max_clock() == log.recorded_max_clock;
       os << (i == 0 ? "" : ",") << "\n    {\"name\": \""
          << json_escaped(log.name)
-         << "\", \"max_clock_us\": " << json_double_exact(r.max_clock)
+         << "\", \"max_clock_us\": " << json_double_exact(r.max_clock())
          << ", \"recorded_max_clock_us\": "
          << json_double_exact(log.recorded_max_clock)
          << ", \"mismatches\": [";
       bool first = true;
       for (int rank = 0; rank < log.nprocs; ++rank) {
-        const double got = r.clocks[static_cast<std::size_t>(rank)];
+        const double got = r.clocks()[static_cast<std::size_t>(rank)];
         const double want =
             log.recorded_clocks[static_cast<std::size_t>(rank)];
         if (got == want) continue;
@@ -566,22 +425,22 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
   }
 
   if (main_log != nullptr) {
-    const ReplayCost target = target_for(*main_log);
-    const ReplayResult r = replay_log(*main_log, target, true);
+    const mpsim::CostModel target = target_for(*main_log);
+    const mpsim::ClockFold r = replay_log(*main_log, target, true);
     os << ",\n  \"replay\": {\n    \"name\": \""
        << json_escaped(main_log->name) << "\",\n    \"cost_model\": {";
     write_cost_fields(os, target);
-    os << "},\n    \"max_clock_us\": " << json_double_exact(r.max_clock)
+    os << "},\n    \"max_clock_us\": " << json_double_exact(r.max_clock())
        << ",\n    \"recorded_max_clock_us\": "
        << json_double_exact(main_log->recorded_max_clock)
-       << ",\n    \"busy_total_us\": " << json_double_exact(r.busy_total)
-       << ",\n    \"unscalable\": " << (r.unscalable ? "true" : "false")
+       << ",\n    \"busy_total_us\": " << json_double_exact(r.busy_total())
+       << ",\n    \"unscalable\": " << (r.unscalable() ? "true" : "false")
        << ",\n    \"clocks\": [";
-    for (std::size_t i = 0; i < r.clocks.size(); ++i) {
-      os << (i == 0 ? "" : ", ") << json_double_exact(r.clocks[i]);
+    for (std::size_t i = 0; i < r.clocks().size(); ++i) {
+      os << (i == 0 ? "" : ", ") << json_double_exact(r.clocks()[i]);
     }
     os << "],\n    \"blame\": ";
-    write_blame(os, r.blame, main_log->phases, opt.blame_top, "      ");
+    write_blame(os, r.blame(), main_log->phases, opt.blame_top, "      ");
     os << "\n  }";
   }
 
@@ -610,16 +469,17 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
     bool first = true;
     bool done = false;
     while (!done) {
-      ReplayCost cost = target_for(*main_log);
+      mpsim::CostModel cost = target_for(*main_log);
       for (std::size_t a = 0; a < opt.sweep.size(); ++a) {
-        cost.set(opt.sweep[a].key,
-                 opt.sweep[a].lo + idx[a] * opt.sweep[a].step);
+        (void)set_cost_constant(&cost, opt.sweep[a].key,
+                                opt.sweep[a].lo + idx[a] * opt.sweep[a].step,
+                                nullptr);
       }
-      const ReplayResult r = replay_log(*main_log, cost);
+      const mpsim::ClockFold r = replay_log(*main_log, cost);
       const double serial_us =
-          serial != nullptr ? replay_log(*serial, cost).max_clock
-                            : r.busy_total;
-      const double speedup = r.max_clock > 0.0 ? serial_us / r.max_clock : 0.0;
+          serial != nullptr ? replay_log(*serial, cost).max_clock()
+                            : r.busy_total();
+      const double speedup = r.max_clock() > 0.0 ? serial_us / r.max_clock() : 0.0;
       const double efficiency = speedup / main_log->nprocs;
       os << (first ? "" : ",") << "\n      {";
       for (std::size_t a = 0; a < opt.sweep.size(); ++a) {
@@ -627,7 +487,7 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
            << json_double_exact(opt.sweep[a].lo + idx[a] * opt.sweep[a].step)
            << ", ";
       }
-      os << "\"max_clock_us\": " << json_double_exact(r.max_clock)
+      os << "\"max_clock_us\": " << json_double_exact(r.max_clock())
          << ", \"serial_us\": " << json_double_exact(serial_us)
          << ", \"speedup\": " << json_double_exact(speedup)
          << ", \"efficiency\": " << json_double_exact(efficiency) << "}";
@@ -649,7 +509,7 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
     // Serial reference times by recorded n, under the same overrides.
     std::map<double, double> serial_time;
     for (const auto& [n, log] : serial_by_n) {
-      serial_time[n] = replay_log(*log, target_for(*log)).max_clock;
+      serial_time[n] = replay_log(*log, target_for(*log)).max_clock();
     }
     // Measured efficiency grid: procs -> sorted (n, efficiency).
     struct GridPoint {
@@ -663,16 +523,16 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
     for (const EventLog& log : logs) {
       if (log.nprocs <= 1) continue;
       if (iso_c == 0.0) iso_c = log.iso_c;
-      const ReplayResult r = replay_log(log, target_for(log));
+      const mpsim::ClockFold r = replay_log(log, target_for(log));
       GridPoint pt;
       pt.n = log.n;
-      pt.max_clock = r.max_clock;
+      pt.max_clock = r.max_clock();
       const auto it = serial_time.find(log.n);
       const double serial_us =
-          it != serial_time.end() ? it->second : r.busy_total;
+          it != serial_time.end() ? it->second : r.busy_total();
       pt.busy_estimate = it == serial_time.end();
-      pt.efficiency = r.max_clock > 0.0
-                          ? serial_us / (log.nprocs * r.max_clock)
+      pt.efficiency = r.max_clock() > 0.0
+                          ? serial_us / (log.nprocs * r.max_clock())
                           : 0.0;
       by_p[log.nprocs].push_back(pt);
     }
@@ -703,7 +563,7 @@ int run_replay(const std::vector<EventLog>& logs, const ReplayOptions& opt,
         bracketed = true;
       }
       const double analytic =
-          E < 1.0 ? E / (1.0 - E) * iso_c * p * ceil_log2_int(p) : 0.0;
+          E < 1.0 ? E / (1.0 - E) * iso_c * p * mpsim::ceil_log2(p) : 0.0;
       os << (first ? "" : ",") << "\n      {\"procs\": " << p
          << ", \"measured_n\": " << json_double_exact(measured)
          << ", \"analytic_n\": " << json_double_exact(analytic)

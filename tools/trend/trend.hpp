@@ -29,8 +29,8 @@
 // rolling test applied at every prior position yields the changepoint
 // markers the trend report draws.
 //
-// Like every tool here, pdt-trend links no simulator libraries and its
-// outputs depend only on the input bytes.
+// pdt-trend links no simulator libraries and its outputs depend only on
+// the input bytes.
 #pragma once
 
 #include <cstdint>
