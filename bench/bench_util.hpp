@@ -387,10 +387,10 @@ inline void emit_mem_run(BenchReport& rep, const char* tag, int procs,
 /// curve (pass core::isoefficiency_constant; 0 = not applicable).
 ///
 /// Unless PDT_HOST=0, a HostProfiler rides the run and the section gains
-/// a "host" member (pdt-host-v1: the wall-nanosecond account paired
-/// cell-for-cell with the virtual breakdown), the events log gains a
-/// "host" overlay, and <harness>.<tag>.host.json carries the standalone
-/// report. All side files go through AtomicFile (temp + rename), so a
+/// a "host" member (pdt-host-v1: the wall-nanosecond self time of each
+/// (phase, level) scope, paired with its virtual time), the events log
+/// gains a "host" overlay, and <harness>.<tag>.host.json carries the
+/// standalone report. All side files go through AtomicFile (temp + rename), so a
 /// killed harness never leaves a torn artifact for the CI gates.
 inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
                                         core::Formulation f,

@@ -100,7 +100,7 @@ static void print_top_blame(const obs::Observability& o) {
 // The --host view: total wall time this host spent inside the run, the
 // per-phase host/virtual share split, and the three (phase, level)
 // segments where the cost model and the host diverge the most. Host and
-// virtual cells share (phase, level, rank) keys (DESIGN.md §9), so the
+// virtual cells share (phase, level) keys (DESIGN.md §9), so the
 // pairing is exact, not heuristic.
 static void print_host_summary(const obs::Observability& o) {
   const obs::HostProfiler* h = o.host_profiler();
@@ -139,20 +139,12 @@ static void print_host_summary(const obs::Observability& o) {
   };
   std::vector<Seg> segs;
   for (const obs::HostProfiler::Row& row : h->rows()) {
-    if (!segs.empty() && segs.back().phase == row.phase &&
-        segs.back().level == row.level) {
-      segs.back().host_ns += static_cast<double>(row.totals.total_ns());
-    } else {
-      segs.push_back({row.phase, row.level,
-                      static_cast<double>(row.totals.total_ns()), 0.0});
-    }
-  }
-  for (Seg& s : segs) {
-    const double vus = o.profiler().phase_totals(s.phase, s.level).total();
-    const double host_share = 100.0 * s.host_ns / host_total;
+    const double ns = static_cast<double>(row.totals.total_ns());
+    const double vus = o.profiler().phase_totals(row.phase, row.level).total();
     const double virt_share =
         virt_total > 0.0 ? 100.0 * vus / virt_total : 0.0;
-    s.pp = host_share - virt_share;
+    segs.push_back({row.phase, row.level, ns,
+                    100.0 * ns / host_total - virt_share});
   }
   std::stable_sort(segs.begin(), segs.end(), [](const Seg& a, const Seg& b) {
     return std::fabs(a.pp) > std::fabs(b.pp);

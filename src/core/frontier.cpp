@@ -283,6 +283,28 @@ std::int64_t frontier_member_records(const std::vector<NodeWork>& f, int m) {
   return n;
 }
 
+void move_member_rows(ParContext& ctx, const mpsim::Group& g,
+                      std::vector<NodeWork>& frontier,
+                      const std::vector<mpsim::Transfer>& transfers) {
+  for (const mpsim::Transfer& t : transfers) {
+    std::int64_t remaining = t.count;
+    for (NodeWork& nw : frontier) {
+      if (remaining == 0) break;
+      auto& src = nw.local_rows[static_cast<std::size_t>(t.from)];
+      auto& dst = nw.local_rows[static_cast<std::size_t>(t.to)];
+      const std::int64_t take = std::min<std::int64_t>(
+          remaining, static_cast<std::int64_t>(src.size()));
+      dst.insert(dst.end(), src.end() - take, src.end());
+      src.resize(src.size() - static_cast<std::size_t>(take));
+      remaining -= take;
+    }
+    assert(remaining == 0);
+    ctx.records_moved += t.count;
+    ctx.count_records_relocated(t.count);
+    ctx.mem_records_move(g.rank(t.from), g.rank(t.to), t.count);
+  }
+}
+
 std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
                                    std::vector<NodeWork>& frontier,
                                    mpsim::Time* comm_cost_out) {

@@ -220,4 +220,13 @@ class ParContext {
 [[nodiscard]] std::int64_t frontier_member_records(
     const std::vector<NodeWork>& f, int m);
 
+/// Apply an Eq. 4 balance plan (mpsim::Group::plan_balance) to a
+/// frontier: each transfer takes rows from the tail of member `from`'s
+/// lists into member `to`'s, node by node, and books them in
+/// records_moved, the relocation counter and the members' memory
+/// accounts. Charges no time: the caller charges the transfers.
+void move_member_rows(ParContext& ctx, const mpsim::Group& g,
+                      std::vector<NodeWork>& frontier,
+                      const std::vector<mpsim::Transfer>& transfers);
+
 }  // namespace pdt::core

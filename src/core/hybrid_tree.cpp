@@ -1,6 +1,5 @@
 #include "core/hybrid_tree.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <numeric>
 
@@ -58,23 +57,7 @@ void balance_half(ParContext& ctx, const mpsim::Group& g,
   const std::vector<mpsim::Transfer> transfers =
       mpsim::Group::plan_balance(counts);
   if (transfers.empty()) return;
-  for (const mpsim::Transfer& t : transfers) {
-    std::int64_t remaining = t.count;
-    for (NodeWork& nw : frontier) {
-      if (remaining == 0) break;
-      auto& src = nw.local_rows[static_cast<std::size_t>(t.from)];
-      auto& dst = nw.local_rows[static_cast<std::size_t>(t.to)];
-      const std::int64_t take = std::min<std::int64_t>(
-          remaining, static_cast<std::int64_t>(src.size()));
-      dst.insert(dst.end(), src.end() - take, src.end());
-      src.resize(src.size() - static_cast<std::size_t>(take));
-      remaining -= take;
-    }
-    assert(remaining == 0);
-    ctx.records_moved += t.count;
-    ctx.count_records_relocated(t.count);
-    ctx.mem_records_move(g.rank(t.from), g.rank(t.to), t.count);
-  }
+  move_member_rows(ctx, g, frontier, transfers);
   g.charge_transfers(transfers, ctx.record_words());
 }
 

@@ -431,22 +431,14 @@ void write_host_overlay(JsonWriter& w, const HostProfiler& host) {
 
   const PhaseProfiler* prof = host.stamps();
   w.key("by_phase").begin_array();
-  // Phase ids are dense; iterate ids seen by either side.
-  std::size_t num_phases = 0;
-  for (const HostProfiler::Row& r : host.rows()) {
-    num_phases = std::max(num_phases, static_cast<std::size_t>(r.phase) + 1);
-  }
-  for (std::size_t p = 0; p < num_phases; ++p) {
-    const HostTotals h =
-        host.phase_totals(static_cast<PhaseId>(p), 0, /*any_level=*/true);
+  for (PhaseId p = 0; p < host.num_phases(); ++p) {
+    const HostTotals h = host.phase_totals(p, 0, /*any_level=*/true);
     if (h.samples == 0) continue;
     w.begin_object();
-    w.kv("phase", comm_phase_name(prof, static_cast<PhaseId>(p)));
+    w.kv("phase", comm_phase_name(prof, p));
     w.kv("host_ns", h.total_ns());
     if (prof != nullptr) {
-      const PhaseTotals v =
-          prof->phase_totals(static_cast<PhaseId>(p), 0, /*any_level=*/true);
-      w.kv("virtual_us", v.compute + v.comm + v.io + v.idle);
+      w.kv("virtual_us", prof->phase_totals(p, 0, /*any_level=*/true).total());
     }
     w.end_object();
   }
@@ -526,8 +518,6 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
   w.begin_object();
   w.kv("schema", "pdt-host-v1");
   w.kv("clock", host.clock_name());
-  w.kv("num_ranks", host.num_ranks());
-  w.kv("max_level", host.max_level());
   w.kv("total_ns", host.total_ns());
   w.kv("samples", host.samples());
   // Backwards clock steps are clamped to zero-length intervals; surface
@@ -548,56 +538,24 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
   }
   w.end_object();
 
-  // Virtual grand total paired against total_ns (for the report's
-  // headline "1 virtual us cost X host ns on this machine" ratio).
+  // One row per (phase, level) scope, paired with the virtual
+  // microseconds the same (phase, level) holds. Their sum is the virtual
+  // grand total paired against total_ns (for the report's headline
+  // "1 virtual us cost X host ns on this machine" ratio).
   double virtual_total_us = 0.0;
-
-  // Per-(phase, level) groups with per-rank cells, each cell paired with
-  // the virtual microseconds the same (phase, level, rank) key holds.
   w.key("phases").begin_array();
-  {
-    const auto rows = host.rows();
-    std::size_t i = 0;
-    while (i < rows.size()) {
-      const PhaseId phase = rows[i].phase;
-      const int level = rows[i].level;
-      w.begin_object();
-      w.kv("phase", comm_phase_name(prof, phase));
-      w.kv("level", level);
-      HostTotals sum;
-      double virtual_us = 0.0;
-      w.key("per_rank").begin_array();
-      for (; i < rows.size() && rows[i].phase == phase &&
-             rows[i].level == level;
-           ++i) {
-        sum += rows[i].totals;
-        const HostTotals& t = rows[i].totals;
-        w.begin_object();
-        w.kv("rank", rows[i].rank);
-        w.kv("compute_ns", t.compute_ns);
-        w.kv("comm_ns", t.comm_ns);
-        w.kv("io_ns", t.io_ns);
-        w.kv("idle_ns", t.idle_ns);
-        w.kv("total_ns", t.total_ns());
-        w.kv("samples", t.samples);
-        w.end_object();
-      }
-      w.end_array();
-      w.kv("compute_ns", sum.compute_ns);
-      w.kv("comm_ns", sum.comm_ns);
-      w.kv("io_ns", sum.io_ns);
-      w.kv("idle_ns", sum.idle_ns);
-      w.kv("total_ns", sum.total_ns());
-      w.kv("samples", sum.samples);
-      if (prof != nullptr) {
-        const PhaseTotals v = prof->phase_totals(phase, level);
-        const double vus = v.compute + v.comm + v.io + v.idle;
-        virtual_us += vus;
-        w.kv("virtual_us", vus);
-      }
-      virtual_total_us += virtual_us;
-      w.end_object();
+  for (const HostProfiler::Row& row : host.rows()) {
+    w.begin_object();
+    w.kv("phase", comm_phase_name(prof, row.phase));
+    w.kv("level", row.level);
+    w.kv("total_ns", row.totals.total_ns());
+    w.kv("samples", row.totals.samples);
+    if (prof != nullptr) {
+      const double vus = prof->phase_totals(row.phase, row.level).total();
+      virtual_total_us += vus;
+      w.kv("virtual_us", vus);
     }
+    w.end_object();
   }
   w.end_array();
   w.kv("virtual_total_us", virtual_total_us);
@@ -607,37 +565,27 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
   // ranking pdt-report uses to surface where the cost model and the host
   // disagree most.
   w.key("by_phase").begin_array();
-  {
-    std::size_t num_phases = 0;
-    for (const HostProfiler::Row& r : host.rows()) {
-      num_phases = std::max(num_phases, static_cast<std::size_t>(r.phase) + 1);
+  const std::int64_t host_total = host.total_ns();
+  for (PhaseId p = 0; p < host.num_phases(); ++p) {
+    const HostTotals h = host.phase_totals(p, 0, /*any_level=*/true);
+    if (h.samples == 0) continue;
+    w.begin_object();
+    w.kv("phase", comm_phase_name(prof, p));
+    w.kv("host_ns", h.total_ns());
+    const double host_share =
+        host_total > 0 ? 100.0 * static_cast<double>(h.total_ns()) /
+                             static_cast<double>(host_total)
+                       : 0.0;
+    w.kv("host_share_pct", host_share);
+    if (prof != nullptr) {
+      const double vus = prof->phase_totals(p, 0, /*any_level=*/true).total();
+      w.kv("virtual_us", vus);
+      const double virtual_share =
+          virtual_total_us > 0.0 ? 100.0 * vus / virtual_total_us : 0.0;
+      w.kv("virtual_share_pct", virtual_share);
+      w.kv("divergence_pp", host_share - virtual_share);
     }
-    const std::int64_t host_total = host.total_ns();
-    for (std::size_t p = 0; p < num_phases; ++p) {
-      const HostTotals h =
-          host.phase_totals(static_cast<PhaseId>(p), 0, /*any_level=*/true);
-      if (h.samples == 0) continue;
-      w.begin_object();
-      w.kv("phase", comm_phase_name(prof, static_cast<PhaseId>(p)));
-      w.kv("host_ns", h.total_ns());
-      const double host_share =
-          host_total > 0
-              ? 100.0 * static_cast<double>(h.total_ns()) /
-                    static_cast<double>(host_total)
-              : 0.0;
-      w.kv("host_share_pct", host_share);
-      if (prof != nullptr) {
-        const PhaseTotals v =
-            prof->phase_totals(static_cast<PhaseId>(p), 0, /*any_level=*/true);
-        const double vus = v.compute + v.comm + v.io + v.idle;
-        w.kv("virtual_us", vus);
-        const double virtual_share =
-            virtual_total_us > 0.0 ? 100.0 * vus / virtual_total_us : 0.0;
-        w.kv("virtual_share_pct", virtual_share);
-        w.kv("divergence_pp", host_share - virtual_share);
-      }
-      w.end_object();
-    }
+    w.end_object();
   }
   w.end_array();
 

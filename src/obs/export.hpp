@@ -33,10 +33,10 @@
 //    its wall-clock account so replays can chart predicted vs. measured.
 //
 //  * write_host — the host-time report ("pdt-host-v1"): the HostProfiler's
-//    wall-nanosecond account per (phase, level, rank) cell, each cell
-//    paired with the virtual microseconds the same cell accumulated, plus
-//    a per-phase rollup ranking where simulated and real time diverge.
-//    Schema in DESIGN.md §9.
+//    wall-nanosecond self time per (phase, level) scope, each cell paired
+//    with the virtual microseconds the same (phase, level) accumulated,
+//    plus a per-phase rollup ranking where simulated and real time
+//    diverge. Schema in DESIGN.md §9.
 #pragma once
 
 #include <cstdint>
@@ -115,9 +115,9 @@ void write_events_report(std::ostream& os, const mpsim::EventRecorder& rec,
                          const HostProfiler* host = nullptr);
 
 /// Emit the "pdt-host-v1" host-time report as one JSON object value on
-/// `w`. Every (phase, level) group carries both the host nanoseconds and
-/// the paired virtual microseconds from the profiler the HostProfiler
-/// rode (the pairing rule: same (phase, level, rank) key on both sides).
+/// `w`. Every (phase, level) row carries both the host nanoseconds and
+/// the paired virtual microseconds from the profiler whose scopes timed
+/// the HostProfiler (the pairing rule: same (phase, level) on both sides).
 void write_host(JsonWriter& w, const HostProfiler& host);
 
 /// Standalone file variant of write_host.

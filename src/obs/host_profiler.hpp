@@ -1,64 +1,50 @@
-// Wall-clock profiler paired cell-for-cell with the virtual PhaseProfiler.
+// Wall-clock profiler timed by the virtual PhaseProfiler's scopes.
 //
 // The simulator executes the algorithms' *data* work for real on the host
 // CPU while charging *virtual* time to the simulated clocks. The virtual
 // side answers "what would the SP-2 have spent here"; the HostProfiler
 // answers "what did this host actually spend here". Both ride the same
-// (phase, level) stamps: on every Machine charge the profiler samples a
-// monotonic host clock and attributes the nanoseconds elapsed since the
-// previous charge to the same (phase, level, rank) cell the virtual
-// charge landed in. A virtual-cost segment and its host-nanosecond
-// account therefore share a key, which is what lets pdt-report render
+// (phase, level) scopes: the PhaseProfiler notifies the host profiler
+// just before every PhaseScope open/close and every LevelScope level
+// change, and the host profiler bills the nanoseconds since the previous
+// transition to the (phase, level) that was current until now. Each cell
+// therefore holds the *self time* of its scope (nested scopes bill their
+// own time, not their parent's), and shares its key with the virtual
+// cell of the same scope — which is what lets pdt-report render
 // simulated-vs-real side by side and rank where the cost model and the
 // host diverge.
 //
-// The attribution is interval-based: the host work *leading up to* a
-// charge (building the histogram that is about to be charged, moving the
-// records, ...) lands on that charge's cell. Work after the last charge
-// of a run is not attributed (it is teardown, not algorithm).
+// The clock is read once per transition, never per charge, so the cost
+// of observation is bounded by the number of scopes, not by the work
+// inside them. The first transition only anchors the chain; host work
+// before it and after the last one is setup and teardown, not algorithm.
+// There is no rank or charge-kind split: one thread runs every simulated
+// rank (DESIGN.md §14), so host time has no per-rank meaning.
 //
 // Like every observer here the profiler is strictly passive — it reads a
 // clock and writes its own cells, never the machine — so enabling it
 // cannot change virtual clocks, trees, or any pre-existing export by a
 // single bit (the parity suite enforces this). When disabled it costs
-// exactly one null-pointer branch in the observer fanout.
-//
-// The profiler runs on the thread that drives the Machine (DESIGN.md
-// §14), so there is one interval chain and one cell store. A clock step
-// that would go backwards is clamped to zero *and counted* (clamped()),
-// surfaced in pdt-host-v1.
+// one null-pointer branch per scope transition. A clock step that would
+// go backwards is clamped to zero *and counted* (clamped()), surfaced in
+// pdt-host-v1.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "mpsim/observer.hpp"
 #include "obs/host_clock.hpp"
 #include "obs/phase.hpp"
 
 namespace pdt::obs {
 
-/// Host-nanosecond totals of one (phase, level, rank) cell, split by the
-/// kind of the virtual charge each interval was paired with.
+/// Host nanoseconds of one (phase, level) cell and the number of
+/// transition intervals billed to it.
 struct HostTotals {
-  std::int64_t compute_ns = 0;
-  std::int64_t comm_ns = 0;
-  std::int64_t io_ns = 0;
-  std::int64_t idle_ns = 0;
+  std::int64_t ns = 0;
   std::uint64_t samples = 0;
 
-  [[nodiscard]] std::int64_t total_ns() const {
-    return compute_ns + comm_ns + io_ns + idle_ns;
-  }
-
-  HostTotals& operator+=(const HostTotals& o) {
-    compute_ns += o.compute_ns;
-    comm_ns += o.comm_ns;
-    io_ns += o.io_ns;
-    idle_ns += o.idle_ns;
-    samples += o.samples;
-    return *this;
-  }
+  [[nodiscard]] std::int64_t total_ns() const { return ns; }
 };
 
 struct HostProfilerConfig {
@@ -69,45 +55,44 @@ struct HostProfilerConfig {
 
 class HostProfiler {
  public:
-  /// `stamps` supplies the (phase, level) attribution for each sample —
-  /// the same PhaseProfiler the virtual charges are attributed through,
-  /// so host and virtual cells pair up. May be null (everything lands in
-  /// phase 0 / kNoLevel). `clock` may be null: a private SteadyHostClock
-  /// is used. A non-null clock is borrowed (tests inject fakes).
+  /// `stamps` is the PhaseProfiler whose scopes drive this profiler (via
+  /// PhaseProfiler::set_host_sink); the exporters read its phase names
+  /// and paired virtual totals. May be null. `clock` may be null: a
+  /// private SteadyHostClock is used. A non-null clock is borrowed
+  /// (tests inject fakes).
   explicit HostProfiler(const PhaseProfiler* stamps = nullptr,
                         HostClock* clock = nullptr,
                         HostProfilerConfig cfg = {});
 
-  /// Observer hook, called (via ObserverFanout) after every Machine
-  /// charge: attributes the host time since the previous sample to the
-  /// currently open (phase, level) at rank r under the charge's kind.
-  void on_charge(mpsim::Rank r, mpsim::ChargeKind kind);
+  /// Scope-transition hook: reads the clock once and bills the time since
+  /// the previous transition to (p, level), the scope current until now.
+  void on_transition(PhaseId p, int level);
 
-  /// One (phase, level, rank) row of the host breakdown.
+  /// One (phase, level) row of the host breakdown.
   struct Row {
     PhaseId phase = 0;
     int level = kNoLevel;
-    mpsim::Rank rank = 0;
     HostTotals totals;
   };
-  /// All nonzero rows ordered by (phase, level, rank) — deterministic,
-  /// and keyed identically to PhaseProfiler::rows().
+  /// Every cell billed at least once, ordered by (phase, level).
   [[nodiscard]] std::vector<Row> rows() const;
 
-  /// Host totals of one phase at one level summed over ranks; pass
-  /// any_level == true to sum over levels too (mirrors
-  /// PhaseProfiler::phase_totals).
+  /// Host totals of one phase at one level; pass any_level == true to sum
+  /// over levels (mirrors PhaseProfiler::phase_totals).
   [[nodiscard]] HostTotals phase_totals(PhaseId p, int level,
                                         bool any_level = false) const;
+  /// One past the highest phase id billed so far.
+  [[nodiscard]] PhaseId num_phases() const {
+    return static_cast<PhaseId>(cells_.size());
+  }
 
-  /// Host nanoseconds attributed so far, over all cells.
-  [[nodiscard]] std::int64_t total_ns() const { return state_.total_ns; }
-  [[nodiscard]] std::uint64_t samples() const { return state_.samples; }
-  [[nodiscard]] int num_ranks() const { return state_.num_ranks; }
-  [[nodiscard]] int max_level() const { return state_.max_level; }
-  /// Samples whose clock step would have been negative and was clamped
+  /// Host nanoseconds billed so far: the last transition minus the first.
+  [[nodiscard]] std::int64_t total_ns() const { return total_ns_; }
+  /// Transition intervals billed so far (transitions minus the anchor).
+  [[nodiscard]] std::uint64_t samples() const { return samples_; }
+  /// Intervals whose clock step would have been negative and was clamped
   /// to zero (a well-behaved monotonic clock never trips this).
-  [[nodiscard]] std::uint64_t clamped() const { return state_.clamped; }
+  [[nodiscard]] std::uint64_t clamped() const { return clamped_; }
 
   [[nodiscard]] const char* clock_name() const { return clock_->name(); }
   [[nodiscard]] const PhaseProfiler* stamps() const { return stamps_; }
@@ -121,40 +106,19 @@ class HostProfiler {
   [[nodiscard]] bool counters_requested() const { return cfg_.counters; }
 
  private:
-  // Same open-addressed (phase, level, rank)-packed cell store as the
-  // virtual profiler — the pairing invariant is easiest to keep when the
-  // two sides share key layout and iteration order.
-  struct Cell {
-    std::uint64_t key = ~0ull;
-    HostTotals totals;
-  };
-  struct State {
-    bool started = false;
-    std::int64_t last_ns = 0;
-    std::int64_t total_ns = 0;
-    std::uint64_t samples = 0;
-    std::uint64_t clamped = 0;
-    int num_ranks = 0;
-    int max_level = kNoLevel;
-    std::vector<Cell> cells = std::vector<Cell>(64);
-    std::size_t cells_used = 0;
-    std::size_t last_hit = static_cast<std::size_t>(-1);
-  };
-  HostTotals& cell(PhaseId p, int level, mpsim::Rank r);
-  void grow_cells();
-  template <typename Fn>
-  void for_each_cell(Fn&& fn) const {
-    for (const Cell& c : state_.cells) {
-      if (c.key != ~0ull) fn(c);
-    }
-  }
-
   HostProfilerConfig cfg_;
   const PhaseProfiler* stamps_;
   SteadyHostClock default_clock_;
   HostClock* clock_;
   HostCounterGroup counter_group_;
-  State state_;
+  bool started_ = false;
+  std::int64_t last_ns_ = 0;
+  std::int64_t total_ns_ = 0;
+  std::uint64_t samples_ = 0;
+  std::uint64_t clamped_ = 0;
+  /// cells_[phase][level + 1]: phase ids and levels are dense and small,
+  /// so a grown-on-demand array replaces any hashing.
+  std::vector<std::vector<HostTotals>> cells_;
 };
 
 }  // namespace pdt::obs

@@ -1,6 +1,8 @@
 // The per-run observability bundle: one PhaseProfiler, one
 // CriticalPathTracer, one CommLedger, and one MetricsRegistry, attachable
-// to a simulated Machine in a single call.
+// to a simulated Machine in a single call. Optional collectors ride
+// along on request: the event recorder, the host profiler (timed by the
+// PhaseProfiler's scope transitions) and the split audit.
 //
 // Ownership: the caller (a bench harness, test, or example) owns the
 // Observability and points ParOptions::obs at it; the run attaches the
@@ -37,7 +39,6 @@ class ObserverFanout final : public mpsim::ChargeObserver {
                  double words_received) override {
     profiler_->on_charge(r, kind, start, dt, words_sent, words_received);
     critical_->on_charge(r, kind, start, dt, words_sent, words_received);
-    if (host_ != nullptr) host_->on_charge(r, kind);
   }
 
   void on_barrier(const std::vector<mpsim::Rank>& members, mpsim::Rank holder,
@@ -58,16 +59,10 @@ class ObserverFanout final : public mpsim::ChargeObserver {
     mem_->on_free(r, tag, bytes);
   }
 
-  /// Start forwarding charges to a host profiler (nullptr detaches; the
-  /// default). One branch per charge when detached — the virtual path is
-  /// untouched either way.
-  void set_host(HostProfiler* host) { host_ = host; }
-
  private:
   PhaseProfiler* profiler_;
   CriticalPathTracer* critical_;
   MemLedger* mem_;
-  HostProfiler* host_ = nullptr;
 };
 
 class Observability {
@@ -113,16 +108,17 @@ class Observability {
   }
 
   /// Turn on host (wall-clock) profiling: creates the owned HostProfiler
-  /// riding the virtual profiler's (phase, level) stamps and wires it
-  /// into the observer fanout (idempotent — the config of the first call
-  /// wins). Strictly passive: the virtual clocks, trees, and every
-  /// pre-existing export stay bit-identical (the parity suite enforces
-  /// it). Serialize with obs::write_host afterwards.
+  /// and hands it to the virtual profiler, whose scope transitions time
+  /// it per (phase, level) (idempotent — the config of the first call
+  /// wins). The charge fanout never sees it. Strictly passive: the
+  /// virtual clocks, trees, and every pre-existing export stay
+  /// bit-identical (the parity suite enforces it). Serialize with
+  /// obs::write_host afterwards.
   HostProfiler& enable_host_profiler(HostProfilerConfig cfg = {},
                                      HostClock* clock = nullptr) {
     if (host_ == nullptr) {
       host_ = std::make_unique<HostProfiler>(&profiler_, clock, cfg);
-      fanout_.set_host(host_.get());
+      profiler_.set_host_sink(host_.get());
     }
     return *host_;
   }

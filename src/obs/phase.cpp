@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "mpsim/event_log.hpp"
+#include "obs/host_profiler.hpp"
 
 namespace pdt::obs {
 
@@ -32,16 +33,19 @@ PhaseId PhaseProfiler::intern(std::string_view name) {
 }
 
 void PhaseProfiler::open(std::string_view name) {
+  if (host_ != nullptr) host_->on_transition(current_phase(), state_.level);
   state_.stack.push_back(intern(name));
   if (sink_ != nullptr) sink_->open_phase(name);
 }
 
 void PhaseProfiler::close() {
+  if (host_ != nullptr) host_->on_transition(current_phase(), state_.level);
   if (!state_.stack.empty()) state_.stack.pop_back();
   if (sink_ != nullptr) sink_->close_phase();
 }
 
 int PhaseProfiler::set_level(int level) {
+  if (host_ != nullptr) host_->on_transition(current_phase(), state_.level);
   const int prev = state_.level;
   state_.level = level;
   state_.max_level = std::max(state_.max_level, level);

@@ -10,7 +10,9 @@
 // The profiler is a passive mpsim::ChargeObserver: attaching it can never
 // change simulated time (tests enforce bit-identical max_clock with the
 // profiler on and off). When no profiler is attached the cost is one
-// branch per charge inside Machine.
+// branch per charge inside Machine. Its scope transitions (open, close,
+// set_level) are also what times the host: a HostProfiler handed in
+// through set_host_sink reads its clock there and nowhere else.
 //
 // Like every collector here, the profiler is driven by the one thread
 // that drives the Machine (DESIGN.md §14), so its state is plain members.
@@ -29,6 +31,8 @@ class EventRecorder;
 }  // namespace pdt::mpsim
 
 namespace pdt::obs {
+
+class HostProfiler;
 
 /// Index into PhaseProfiler::phase_names(). 0 is always the implicit
 /// "(unattributed)" phase that catches charges outside any scope.
@@ -99,6 +103,9 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
   /// Forward every open/close to an event recorder, so the execution log
   /// carries the same phase attribution as the profiler. Not owned.
   void set_event_sink(mpsim::EventRecorder* sink) { sink_ = sink; }
+  /// Notify a host profiler of every open/close/set_level, before the
+  /// stack or level changes, so it can time each scope. Not owned.
+  void set_host_sink(HostProfiler* host) { host_ = host; }
 
   /// Current level (kNoLevel if none was ever set).
   [[nodiscard]] int current_level() const { return state_.level; }
@@ -192,6 +199,7 @@ class PhaseProfiler final : public mpsim::ChargeObserver {
 
   ProfilerConfig cfg_;
   mpsim::EventRecorder* sink_ = nullptr;
+  HostProfiler* host_ = nullptr;
   std::vector<std::string> names_;
   State state_;
 

@@ -5,8 +5,12 @@
 // a tree that is consistent with its own canonical form. Event-log
 // mutants that parse as JSON also go through pdt-replay's
 // parse_event_log and an identity replay: each fails with a message or
-// replays. Run under the sanitizers, this is the fuzz gate for the one
-// JSON reader and the events reader.
+// replays. The pdt-runs-v1 registry and the pdt-diff-baseline-v1 and
+// pdt-host-baseline-v1 readers get the same treatment: each mutant is
+// rejected with a message or reads back to records whose written form
+// reads back to the same bytes. Run under the sanitizers, this is the
+// fuzz gate for the one JSON reader and every tools reader of perf
+// history.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -16,6 +20,7 @@
 
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
+#include "diff/diff.hpp"
 #include "dtree/builder.hpp"
 #include "dtree/serialize.hpp"
 #include "dtree/sha256.hpp"
@@ -24,6 +29,7 @@
 #include "mpsim/machine.hpp"
 #include "obs/export.hpp"
 #include "replay/replay.hpp"
+#include "trend/trend.hpp"
 
 namespace pdt {
 namespace {
@@ -188,6 +194,124 @@ TEST(ParserMutation, EventLogMutantsFailCleanlyOrRoundTrip) {
   EXPECT_EQ(tally.trees, 0);
   EXPECT_GT(tally.log_errors, 0);
   EXPECT_GT(tally.replays, 1);
+}
+
+/// A perf-history reader under test: reads `text`, and on success
+/// writes the records it read back out through the matching writer.
+/// Returns false with a message when it rejects the text.
+using ReadWrite = bool (*)(const std::string& text, std::string* written,
+                           std::string* error);
+
+/// Seeded mutants of `doc` through `read`: each is rejected with a
+/// message, or its written form reads back to the same bytes. Both
+/// outcomes must occur, so the loop provably reaches the record code.
+void fuzz_reader(const std::string& doc, ReadWrite read) {
+  std::string written;
+  std::string err;
+  ASSERT_TRUE(read(doc, &written, &err)) << err;
+  int rejected = 0;
+  int round_trips = 0;
+  std::mt19937_64 rng(1998);
+  for (int i = 0; i < kMutantsPerDocument; ++i) {
+    const std::string m = mutate(doc, rng);
+    err.clear();
+    if (!read(m, &written, &err)) {
+      ++rejected;
+      ASSERT_FALSE(err.empty()) << "mutant " << i << " rejected silently:\n"
+                                << m;
+      continue;
+    }
+    std::string again;
+    ASSERT_TRUE(read(written, &again, &err))
+        << "mutant " << i << ": written form does not read back: " << err
+        << "\n" << m;
+    ASSERT_EQ(again, written) << "mutant " << i << ":\n" << m;
+    ++round_trips;
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(round_trips, 0);
+}
+
+tools::RunRecord run_record(std::int64_t seq) {
+  tools::RunRecord rec;
+  rec.seq = seq;
+  rec.timestamp = "2026-01-02T03:04:05Z";
+  rec.label = "ci-" + std::to_string(seq);
+  EXPECT_TRUE(json_parse(R"({"git_sha": "abc123", "git_dirty": false})",
+                         &rec.fingerprint));
+  rec.virt.push_back({"fig6_speedup", "quest-f2", "hybrid", 8, 1234.5, 6.25,
+                      0.78125});
+  tools::TrendHostTuple host;
+  host.entry = {"fig6_speedup", "hybrid.P8", "hybrid", 8, 3, 2.5e6, 1.25e4};
+  host.cells.push_back({"histogram", 2, 1.5e6, 830.25});
+  host.cells.push_back({"(unattributed)", -1, 2e5, 0.0});
+  rec.host.push_back(host);
+  rec.model.push_back({"fig6_speedup", "hybrid.P8", "hybrid", 8,
+                       "9f86d081884c7d65", 31, 16, 7, 0.9375});
+  tools::TrendFtTuple ft;
+  ft.harness = "fault_tolerance";
+  ft.formulation = "sync";
+  ft.procs = 8;
+  ft.scenario = "fail-stop";
+  ft.time_us = 5e4;
+  ft.overhead_us = 1.5e3;
+  ft.retries = 2;
+  rec.ft.push_back(ft);
+  rec.blame.push_back({3, 2, 5, "all-reduce", 42.5});
+  return rec;
+}
+
+TEST(ParserMutation, RegistryMutantsFailCleanlyOrRoundTrip) {
+  fuzz_reader(
+      tools::registry_text({run_record(1), run_record(2)}),
+      [](const std::string& text, std::string* written, std::string* error) {
+        std::vector<tools::RunRecord> runs;
+        if (!tools::parse_registry(text, &runs, error)) return false;
+        *written = tools::registry_text(runs);
+        return true;
+      });
+}
+
+TEST(ParserMutation, BaselineMutantsFailCleanlyOrRoundTrip) {
+  std::ostringstream doc;
+  tools::write_baseline(
+      {{"fig6_speedup", "quest-f2", "sync", 4, 2048.5, 3.5, 0.875},
+       {"fig6_speedup", "quest-f2", "hybrid", 16, 1024.25, 9.75, 0.609375}},
+      doc);
+  fuzz_reader(doc.str(), [](const std::string& text, std::string* written,
+                            std::string* error) {
+    JsonValue root;
+    std::vector<tools::DiffEntry> entries;
+    if (!json_parse(text, &root, error) ||
+        !tools::parse_baseline(root, &entries, error)) {
+      return false;
+    }
+    std::ostringstream os;
+    tools::write_baseline(entries, os);
+    *written = os.str();
+    return true;
+  });
+}
+
+TEST(ParserMutation, HostBaselineMutantsFailCleanlyOrRoundTrip) {
+  std::ostringstream doc;
+  tools::write_host_baseline(
+      {{"fig6_speedup", "sync.P4", "sync", 4, 3, 1.75e6, 2.5e4},
+       {"fig6_speedup", "hybrid.P8", "hybrid", 8, 3, 2.25e6, 5e3}},
+      doc);
+  fuzz_reader(doc.str(), [](const std::string& text, std::string* written,
+                            std::string* error) {
+    JsonValue root;
+    std::vector<tools::HostEntry> entries;
+    if (!json_parse(text, &root, error) ||
+        !tools::parse_host_baseline(root, &entries, error)) {
+      return false;
+    }
+    std::ostringstream os;
+    tools::write_host_baseline(entries, os);
+    *written = os.str();
+    return true;
+  });
 }
 
 }  // namespace

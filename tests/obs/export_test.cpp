@@ -352,7 +352,10 @@ TEST(HostExport, ReportIsValidJsonWithSchemaFields) {
   EXPECT_NE(doc.find("\"clock\":\"steady_clock\""), std::string::npos);
   EXPECT_NE(doc.find("\"counters\""), std::string::npos);
   EXPECT_NE(doc.find("\"phases\""), std::string::npos);
-  EXPECT_NE(doc.find("\"per_rank\""), std::string::npos);
+  // Rows are (phase, level) scopes: one thread runs every simulated
+  // rank, so there is no per-rank host split.
+  EXPECT_NE(doc.find("\"level\""), std::string::npos);
+  EXPECT_EQ(doc.find("\"per_rank\""), std::string::npos);
   EXPECT_NE(doc.find("\"by_phase\""), std::string::npos);
   EXPECT_NE(doc.find("\"divergence_pp\""), std::string::npos);
   // Every host group carries its paired virtual account.

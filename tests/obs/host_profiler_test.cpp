@@ -1,6 +1,6 @@
 // Unit tests for the wall-clock side of the observability layer: the
-// HostProfiler's interval attribution against a deterministic fake
-// clock, its pairing contract with the virtual PhaseProfiler, the
+// HostProfiler's scope-transition attribution against a deterministic
+// fake clock, the bound on how often it reads that clock, the
 // monotonicity/overhead bound of the production clock, and the
 // crash-safe AtomicFile writer every JSON exporter goes through
 // (including same-process writers racing on distinct and on equal
@@ -18,28 +18,33 @@
 
 #include "obs/atomic_file.hpp"
 #include "obs/host_clock.hpp"
+#include "mpsim/machine.hpp"
 #include "obs/host_profiler.hpp"
+#include "obs/observability.hpp"
 #include "obs/phase.hpp"
 
 namespace pdt::obs {
 namespace {
 
-// Deterministic clock: hands out the scripted timestamps in order and
-// repeats the last one when the script runs dry.
+// Deterministic clock: hands out the scripted timestamps in order,
+// repeats the last one when the script runs dry, and counts its reads.
 class FakeClock final : public HostClock {
  public:
   explicit FakeClock(std::vector<std::int64_t> times)
       : times_(std::move(times)) {}
   std::int64_t now_ns() override {
+    ++reads_;
     const std::int64_t t = times_[next_];
     if (next_ + 1 < times_.size()) ++next_;
     return t;
   }
   const char* name() const override { return "fake"; }
+  [[nodiscard]] std::uint64_t reads() const { return reads_; }
 
  private:
   std::vector<std::int64_t> times_;
   std::size_t next_ = 0;
+  std::uint64_t reads_ = 0;
 };
 
 std::string read_file(const std::string& path) {
@@ -48,98 +53,92 @@ std::string read_file(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-TEST(HostProfiler, FirstChargeAnchorsAndIntervalsAttributeToTheCharge) {
-  FakeClock clock({100, 250, 400, 1000});
-  HostProfiler h(nullptr, &clock);
-  EXPECT_EQ(h.total_ns(), 0);
-  EXPECT_EQ(h.samples(), 0u);
-
-  h.on_charge(0, mpsim::ChargeKind::Compute);  // t=100: anchor only
-  EXPECT_EQ(h.total_ns(), 0);
-  EXPECT_EQ(h.samples(), 0u);
-
-  h.on_charge(0, mpsim::ChargeKind::Compute);  // t=250: 150ns compute
-  h.on_charge(1, mpsim::ChargeKind::Comm);     // t=400: 150ns comm
-  h.on_charge(0, mpsim::ChargeKind::Io);       // t=1000: 600ns io
-  EXPECT_EQ(h.total_ns(), 900);
+// Clock reads of one run with a phase scope around `charges` machine
+// charges and a level scope inside it: the charges go through the real
+// Observability fanout, which must never reach the host profiler.
+std::uint64_t clock_reads_for(int charges) {
+  FakeClock clock({0});
+  Observability o;
+  const HostProfiler& h = o.enable_host_profiler({}, &clock);
+  mpsim::Machine m(2);
+  o.attach(m);
+  {
+    const PhaseScope phase(&o.profiler(), "histogram");
+    const LevelScope level(&o.profiler(), 0);
+    for (int i = 0; i < charges; ++i) m.charge_compute(i & 1, 1.0);
+  }
+  // Four transitions: open, set_level, level restore, close. The first
+  // only anchors the chain.
   EXPECT_EQ(h.samples(), 3u);
-  EXPECT_EQ(h.num_ranks(), 2);
-
-  const HostTotals all = h.phase_totals(0, kNoLevel, /*any_level=*/true);
-  EXPECT_EQ(all.compute_ns, 150);
-  EXPECT_EQ(all.comm_ns, 150);
-  EXPECT_EQ(all.io_ns, 600);
-  EXPECT_EQ(all.idle_ns, 0);
-  EXPECT_EQ(all.total_ns(), 900);
-  EXPECT_EQ(all.samples, 3u);
+  EXPECT_EQ(o.profiler().phase_totals(1, 0).charges,
+            static_cast<std::uint64_t>(charges));
+  return clock.reads();
 }
 
-TEST(HostProfiler, RowsPairWithVirtualProfilerCells) {
+TEST(HostProfiler, ClockReadsCountTransitionsNotCharges) {
+  const std::uint64_t one = clock_reads_for(1);
+  EXPECT_EQ(one, 4u) << "one read per scope or level transition";
+  EXPECT_LE(clock_reads_for(10000), one)
+      << "charges inside a scope must not read the host clock";
+}
+
+TEST(HostProfiler, NestedScopesBillSelfTimeAndCellsSumToTotal) {
+  FakeClock clock({100, 130, 180, 260, 300, 1000});
   PhaseProfiler stamps;
-  FakeClock clock({0, 10, 30, 60, 100});
   HostProfiler h(&stamps, &clock);
+  stamps.set_host_sink(&h);
   EXPECT_STREQ(h.clock_name(), "fake");
   EXPECT_EQ(h.stamps(), &stamps);
-
-  // Drive the same (phase, level) stamps through both profilers, the
-  // way ObserverFanout does on a real run.
-  auto charge = [&](mpsim::Rank r, mpsim::ChargeKind k) {
-    stamps.on_charge(r, k, 0.0, 1.0, 0.0, 0.0);
-    h.on_charge(r, k);
-  };
-  charge(0, mpsim::ChargeKind::Compute);  // anchor, lands in (unattributed)
   {
-    PhaseScope ph(&stamps, "histogram");
-    LevelScope lv(&stamps, 2);
-    charge(0, mpsim::ChargeKind::Compute);  // 10ns
-    charge(1, mpsim::ChargeKind::Compute);  // 20ns
-  }
-  {
-    PhaseScope ph(&stamps, "all-reduce");
-    charge(0, mpsim::ChargeKind::Comm);  // 30ns
-    charge(0, mpsim::ChargeKind::Comm);  // 40ns
-  }
+    const PhaseScope outer(&stamps, "split-eval");  // t=100: anchor only
+    EXPECT_EQ(h.total_ns(), 0);
+    EXPECT_EQ(h.samples(), 0u);
+    {
+      const LevelScope level(&stamps, 3);            // t=130: 30 outer@-1
+      const PhaseScope inner(&stamps, "histogram");  // t=180: 50 outer@3
+    }  // inner close t=260: 80 inner@3; level restore t=300: 40 outer@3
+  }    // outer close t=1000: 700 outer@-1
+  EXPECT_EQ(clock.reads(), 6u);
+  EXPECT_EQ(h.samples(), 5u);
+  EXPECT_EQ(h.total_ns(), 1000 - 100) << "last transition minus the first";
 
+  const PhaseId outer = 1;  // interned first after phase 0
+  const PhaseId inner = 2;
   const std::vector<HostProfiler::Row> rows = h.rows();
   ASSERT_EQ(rows.size(), 3u);
-  // Ordered by (phase, level, rank), exactly like the virtual rows.
-  const PhaseId hist = 1;  // interned first after phase 0
-  const PhaseId allr = 2;
-  EXPECT_EQ(rows[0].phase, hist);
-  EXPECT_EQ(rows[0].level, 2);
-  EXPECT_EQ(rows[0].rank, 0);
-  EXPECT_EQ(rows[0].totals.compute_ns, 10);
-  EXPECT_EQ(rows[1].phase, hist);
-  EXPECT_EQ(rows[1].level, 2);
-  EXPECT_EQ(rows[1].rank, 1);
-  EXPECT_EQ(rows[1].totals.compute_ns, 20);
-  EXPECT_EQ(rows[2].phase, allr);
-  EXPECT_EQ(rows[2].level, kNoLevel);
-  EXPECT_EQ(rows[2].totals.comm_ns, 70);
-  EXPECT_EQ(h.max_level(), 2);
+  EXPECT_EQ(rows[0].phase, outer);
+  EXPECT_EQ(rows[0].level, kNoLevel);
+  EXPECT_EQ(rows[0].totals.ns, 730);
+  EXPECT_EQ(rows[0].totals.samples, 2u);
+  EXPECT_EQ(rows[1].phase, outer);
+  EXPECT_EQ(rows[1].level, 3);
+  EXPECT_EQ(rows[1].totals.ns, 90);
+  EXPECT_EQ(rows[2].phase, inner);
+  EXPECT_EQ(rows[2].level, 3);
+  EXPECT_EQ(rows[2].totals.ns, 80);
+  std::int64_t sum = 0;
+  for (const HostProfiler::Row& row : rows) sum += row.totals.ns;
+  EXPECT_EQ(sum, h.total_ns()) << "cells must sum exactly to total_ns";
 
-  // Every host row must have a virtual twin under the same key.
-  for (const HostProfiler::Row& row : rows) {
-    const PhaseTotals v = stamps.phase_totals(row.phase, row.level);
-    EXPECT_GT(v.charges, 0u)
-        << "host cell (" << row.phase << ", " << row.level
-        << ") has no paired virtual cell";
-  }
-  EXPECT_EQ(h.phase_totals(hist, 2).total_ns(), 30);
-  EXPECT_EQ(h.phase_totals(allr, kNoLevel).total_ns(), 70);
+  // The parent keeps only its self time: the nested histogram's 80 ns
+  // are not in split-eval's total.
+  EXPECT_EQ(h.phase_totals(outer, 0, /*any_level=*/true).ns, 820);
+  EXPECT_EQ(h.phase_totals(inner, 3).ns, 80);
+  EXPECT_EQ(h.phase_totals(inner, kNoLevel).ns, 0);
+  EXPECT_EQ(h.num_phases(), 3);
 }
 
 TEST(HostProfiler, BackwardsClockClampsToZeroInsteadOfGoingNegative) {
   FakeClock clock({1000, 400, 500});
   HostProfiler h(nullptr, &clock);
   EXPECT_EQ(h.clamped(), 0u);
-  h.on_charge(0, mpsim::ChargeKind::Compute);  // anchor at 1000
-  h.on_charge(0, mpsim::ChargeKind::Compute);  // clock "went back" to 400
+  h.on_transition(0, kNoLevel);  // anchor at 1000
+  h.on_transition(0, kNoLevel);  // clock "went back" to 400
   EXPECT_EQ(h.total_ns(), 0) << "negative intervals must clamp, not wrap";
   // The anomaly is observable, not silent: pdt-host-v1 surfaces this
   // count.
   EXPECT_EQ(h.clamped(), 1u);
-  h.on_charge(0, mpsim::ChargeKind::Compute);  // 400 -> 500
+  h.on_transition(0, kNoLevel);  // 400 -> 500
   EXPECT_EQ(h.total_ns(), 100);
   EXPECT_EQ(h.clamped(), 1u) << "a forward step must not count as clamped";
   EXPECT_EQ(h.clamped(), 1u);
@@ -156,7 +155,7 @@ TEST(HostProfiler, SteadyClockIsMonotonicAndCheap) {
     prev = now;
   }
 
-  // Overhead bound: attributing 100k charges must stay far below the
+  // Overhead bound: attributing 100k transitions must stay far below the
   // budget of a single bench run (generous 1ms/sample ceiling would be
   // absurd; require < 2us average, ~100x the typical clock_gettime cost,
   // so the test never flakes on a loaded CI box).
@@ -164,10 +163,10 @@ TEST(HostProfiler, SteadyClockIsMonotonicAndCheap) {
   const std::int64_t t0 = clock.now_ns();
   constexpr int kCharges = 100000;
   for (int i = 0; i < kCharges; ++i) {
-    h.on_charge(i & 7, mpsim::ChargeKind::Compute);
+    h.on_transition(i & 7, kNoLevel);
   }
   const std::int64_t elapsed = clock.now_ns() - t0;
-  EXPECT_LT(elapsed / kCharges, 2000) << "per-charge overhead too high";
+  EXPECT_LT(elapsed / kCharges, 2000) << "per-transition overhead too high";
   // The profiler saw the whole interval chain: its own account of the
   // loop cannot exceed the wall time around it.
   EXPECT_LE(h.total_ns(), elapsed);

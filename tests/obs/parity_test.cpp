@@ -169,15 +169,20 @@ TEST(ObsParity, HostProfilerNeverChangesTheVirtualRun) {
       EXPECT_EQ(off_rows[i].totals.charges, on_rows[i].totals.charges);
     }
 
-    // And the host profiler actually rode along: it saw every charge
-    // after the anchoring first one.
+    // And the host profiler actually rode along: every (phase, level)
+    // the virtual profiler charged was timed by the host too, and the
+    // host cells add up to its total.
     const obs::HostProfiler* h = hosted.host_profiler();
     ASSERT_NE(h, nullptr);
-    std::uint64_t virtual_charges = 0;
-    for (const auto& row : on_rows) virtual_charges += row.totals.charges;
-    EXPECT_EQ(h->samples(), virtual_charges - 1)
-        << to_string(f) << ": one host sample per charge (first anchors)";
-    EXPECT_EQ(h->num_ranks(), 8);
+    EXPECT_GT(h->samples(), 0u) << to_string(f);
+    for (const auto& row : on_rows) {
+      EXPECT_GT(h->phase_totals(row.phase, row.level).samples, 0u)
+          << to_string(f) << ": virtual cell (" << row.phase << ", "
+          << row.level << ") has no host twin";
+    }
+    std::int64_t host_sum = 0;
+    for (const auto& row : h->rows()) host_sum += row.totals.total_ns();
+    EXPECT_EQ(host_sum, h->total_ns()) << to_string(f);
   }
 }
 
