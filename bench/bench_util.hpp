@@ -141,7 +141,7 @@ inline bool host_counters_requested() {
 
 /// This process's environment fingerprint (git SHA, compiler, CPU,
 /// PDT_* env) — collected once, stamped into every envelope and event
-/// log so the pdt-trend registry can attribute any drift to a build or
+/// log so the pdt trend registry can attribute any drift to a build or
 /// machine change.
 inline const obs::EnvFingerprint& fingerprint() {
   static const obs::EnvFingerprint fp = obs::EnvFingerprint::collect();
@@ -208,7 +208,7 @@ class BenchReport {
 };
 
 /// Workload provenance for the model artifacts: enough to regenerate the
-/// training and held-out Quest datasets offline (`pdt-tree eval` relies
+/// training and held-out Quest datasets offline (`pdt tree eval` relies
 /// on exactly these fields ending up in the pdt-model-v1 meta).
 struct ModelInfo {
   std::uint64_t train_seed = 1;
@@ -295,7 +295,7 @@ inline void emit_model(BenchReport& rep, const char* tag,
             : std::span<const dtree::SplitAuditEntry>(),
         ev.accuracy());
     if (model_file.commit()) {
-      std::printf("[json] wrote %s (inspect with pdt-tree)\n",
+      std::printf("[json] wrote %s (inspect with pdt tree)\n",
                   model_file.path().c_str());
     }
   }
@@ -335,7 +335,7 @@ inline std::int64_t max_rank_peak(const std::vector<mpsim::MemStats>& mem) {
 
 /// Append a {"type":"mem_scaling",...} section: one pdt-mem-v1 report per
 /// processor count, taken from the byte accounts that ride along in each
-/// SpeedupPoint's ParResult. This is the raw material for pdt-report's
+/// SpeedupPoint's ParResult. This is the raw material for pdt report's
 /// memory-scalability verdict (per-rank peak vs P at fixed N).
 inline void emit_mem_scaling(BenchReport& rep, const char* workload,
                              const char* formulation,
@@ -381,7 +381,7 @@ inline void emit_mem_run(BenchReport& rep, const char* tag, int procs,
 /// pdt-mem-v1 report (per-rank byte accounts with the ledger's
 /// phase x level attribution). Also dumps a Perfetto trace of the run to
 /// <harness>.<tag>.trace.json and the complete execution log to
-/// <harness>.<tag>.events.json (pdt-events-v1, the input of pdt-replay)
+/// <harness>.<tag>.events.json (pdt-events-v1, the input of pdt replay)
 /// unless JSON output is disabled. `iso_c` is embedded in the event
 /// log's meta so offline isoefficiency charts can draw the analytic
 /// curve (pass core::isoefficiency_constant; 0 = not applicable).
@@ -455,7 +455,7 @@ inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
         obs::write_events_report(events_file.stream(), *o.event_log(), meta,
                                  o.host_profiler());
         if (events_file.commit()) {
-          std::printf("[json] wrote %s (replay with pdt-replay)\n",
+          std::printf("[json] wrote %s (replay with pdt replay)\n",
                       events_file.path().c_str());
         }
       }

@@ -83,7 +83,7 @@ void instrumented_runs(bench::BenchReport& rep, double paper_n,
   const data::Dataset ds = bench::fig6_workload(bench::scaled(paper_n), seed);
   std::printf("\n--- instrumented P=8 runs (%.1fM paper-scale) ---\n",
               paper_n / 1e6);
-  // hybrid.P1 anchors the host-time speedup table (pdt-report needs at
+  // hybrid.P1 anchors the host-time speedup table (pdt report needs at
   // least two P values of one formulation to form a host-ns ratio).
   for (const auto& [f, procs, tag] :
        {std::tuple{core::Formulation::Sync, 8, "sync.P8"},

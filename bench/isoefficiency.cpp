@@ -2,7 +2,7 @@
 // runs over a (P, N) grid — plus the P=1 serial baseline at every N —
 // each with its complete pdt-events-v1 execution log, so that
 //
-//   pdt-replay --iso --efficiency 0.8 isoefficiency.*.events.json
+//   pdt replay --iso --efficiency 0.8 isoefficiency.*.events.json
 //
 // can chart the *measured* isoefficiency curve (the N at which each P
 // reaches the target efficiency, interpolated from the grid) against
@@ -86,7 +86,7 @@ int main() {
     std::printf("  P=%-3d N = %.0f records\n", p,
                 core::isoefficiency_records(in, p, target));
   }
-  std::printf("(replay the recorded grid: pdt-replay --iso --efficiency "
+  std::printf("(replay the recorded grid: pdt replay --iso --efficiency "
               "%.2f isoefficiency.*.events.json)\n", target);
 
   if (obs::JsonWriter* w = rep.writer()) {

@@ -187,10 +187,10 @@ static void print_top_memory(const obs::Observability& o,
 }
 
 // One-line model identity after each run: the content digest must match
-// across every formulation and P growing this workload (pdt-tree diff
+// across every formulation and P growing this workload (pdt tree diff
 // turns a mismatch into a failing gate), alongside shape and held-out
 // accuracy. PDT_MODEL_OUT=<prefix> additionally dumps the pdt-model-v1
-// document to <prefix>.P<p>.model.json for offline pdt-tree runs.
+// document to <prefix>.P<p>.model.json for offline pdt tree runs.
 static void print_model_line(const core::ParResult& res, core::Formulation f,
                              int p, std::size_t n,
                              const data::Dataset& eval_ds,
@@ -220,7 +220,7 @@ static void print_model_line(const core::ParResult& res, core::Formulation f,
   std::ofstream ms(path);
   if (ms) {
     ms << dtree::model_json(res.tree, meta, audit, ev.accuracy());
-    std::printf("     [json] wrote %s (inspect with pdt-tree)\n",
+    std::printf("     [json] wrote %s (inspect with pdt tree)\n",
                 path.c_str());
   }
 }
@@ -410,7 +410,7 @@ int main(int argc, char** argv) {
       print_top_memory(o, res);
       if (host) print_host_summary(o);
       // PDT_EVENTS_OUT=<prefix> dumps each run's pdt-events-v1 log to
-      // <prefix>.P<p>.events.json for offline pdt-replay what-ifs.
+      // <prefix>.P<p>.events.json for offline pdt replay what-ifs.
       const char* events_out = std::getenv("PDT_EVENTS_OUT");
       if (events_out != nullptr && *events_out != '\0' &&
           o.event_log() != nullptr) {
@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
           meta.n = static_cast<std::int64_t>(ds.num_rows());
           meta.procs = p;
           obs::write_events_report(es, *o.event_log(), meta);
-          std::printf("     [json] wrote %s (replay with pdt-replay)\n",
+          std::printf("     [json] wrote %s (replay with pdt replay)\n",
                       path.c_str());
         }
       }

@@ -1,6 +1,7 @@
 #include "data/schema.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace pdt::data {
 
@@ -26,7 +27,18 @@ Schema::Schema(std::vector<Attribute> attrs, int num_classes,
     : attrs_(std::move(attrs)),
       num_classes_(num_classes),
       class_names_(std::move(class_names)) {
-  assert(num_classes_ >= 2);
+  if (num_classes_ < 2) {
+    throw std::invalid_argument("schema: need at least 2 classes, got " +
+                                std::to_string(num_classes_));
+  }
+  for (const Attribute& a : attrs_) {
+    if (a.is_categorical() && a.cardinality < 1) {
+      throw std::invalid_argument("schema: categorical attribute " + a.name +
+                                  " has cardinality " +
+                                  std::to_string(a.cardinality) +
+                                  " (want >= 1)");
+    }
+  }
   if (class_names_.empty()) {
     for (int c = 0; c < num_classes_; ++c) {
       class_names_.push_back("class" + std::to_string(c));

@@ -41,6 +41,8 @@ struct Attribute {
 class Schema {
  public:
   Schema() = default;
+  /// Throws std::invalid_argument unless num_classes >= 2 and every
+  /// categorical attribute has cardinality >= 1.
   Schema(std::vector<Attribute> attrs, int num_classes,
          std::vector<std::string> class_names = {});
 

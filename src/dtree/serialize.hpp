@@ -14,7 +14,7 @@
 //  * compact RFC 8259 JSON, no whitespace, fixed key order, shortest
 //    round-trip doubles — byte-stable across platforms.
 //
-// The full document adds provenance meta (enough for `pdt-tree eval` to
+// The full document adds provenance meta (enough for `pdt tree eval` to
 // regenerate the datasets), summary counts, and the optional SplitAudit
 // section; none of that is covered by the digest (per-rank feed counts
 // depend on P, while the digest must not).
@@ -102,7 +102,7 @@ struct NodeSpec {
                                           Tree* out);
 
 /// Read a pdt-model-v1 "nodes" array (canonical ids in array order):
-/// the one model-node reader, used by pdt-tree and the pdt-ckpt-v1
+/// the one model-node reader, used by pdt tree and the pdt-ckpt-v1
 /// loader. Integer fields must be integral JSON numbers in range. Returns
 /// "" on success, else "node N: ..." for the first malformed node.
 [[nodiscard]] std::string nodes_from_json(const JsonValue& nodes,

@@ -1,6 +1,6 @@
 // Self-contained SHA-256 (FIPS 180-4) for model content digests.
 //
-// The model-identity gates (pdt-tree diff, CI) compare trees by hash, so
+// The model-identity gates (pdt tree diff, CI) compare trees by hash, so
 // the digest must be stable across platforms and toolchains and must not
 // pull in an external crypto dependency. This is the plain single-shot
 // byte-oriented implementation — model payloads are a few hundred KB at

@@ -1,6 +1,8 @@
 #include "dtree/slots.hpp"
 
 #include <cassert>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -11,20 +13,32 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
   const int n = schema.num_attributes();
   slots_.reserve(static_cast<std::size_t>(n));
   offsets_.reserve(static_cast<std::size_t>(n));
-  int off = 0;
+  std::int64_t off = 0;
   for (int a = 0; a < n; ++a) {
     const auto& attr = schema.attr(a);
     const int s = attr.is_categorical() ? attr.cardinality : cont_bins;
     assert(s >= 1);
     slots_.push_back(s);
-    offsets_.push_back(off);
-    off += s * num_classes_;
+    offsets_.push_back(static_cast<int>(off));
+    off += std::int64_t{s} * num_classes_;
+    if (off > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument(
+          "AttrLayout: the count table passes " +
+          std::to_string(std::numeric_limits<int>::max()) +
+          " cells at attribute " + attr.name + " (" + std::to_string(s) +
+          " slots x " + std::to_string(num_classes_) + " classes)");
+    }
   }
-  total_ = off;
+  total_ = static_cast<int>(off);
 }
 
 SlotMapper::SlotMapper(const data::Dataset& ds, int cont_bins)
     : ds_(&ds), cont_bins_(cont_bins) {
+  // Every build maps its dataset here first, so this is where an empty
+  // one is turned away (nothing else would, short of a crash).
+  if (ds.num_rows() == 0) {
+    throw std::invalid_argument("cannot build a tree from an empty dataset");
+  }
   if (cont_bins < 2 || cont_bins > 256) {
     throw std::invalid_argument(
         "SlotMapper: cont_bins must be in [2, 256], got " +

@@ -48,7 +48,9 @@ namespace pdt::dtree {
 class AttrLayout {
  public:
   AttrLayout() = default;
-  /// `cont_bins` micro-bins per continuous attribute.
+  /// `cont_bins` micro-bins per continuous attribute. Throws
+  /// std::invalid_argument, naming the attribute, once the buffer would
+  /// pass INT_MAX entries.
   AttrLayout(const data::Schema& schema, int cont_bins);
 
   [[nodiscard]] int num_attributes() const {
@@ -92,7 +94,8 @@ class SlotMapper {
  public:
   SlotMapper() = default;
   /// Bins every continuous column into its slot column. Throws
-  /// std::invalid_argument unless 2 <= cont_bins <= 256.
+  /// std::invalid_argument on an empty dataset, or unless
+  /// 2 <= cont_bins <= 256.
   SlotMapper(const data::Dataset& ds, int cont_bins);
 
   [[nodiscard]] int cont_bins() const { return cont_bins_; }

@@ -149,7 +149,7 @@ class JsonValue {
 
 /// Serialize a parsed value back to compact JSON (no whitespace).
 /// Deterministic: objects keep insertion order, doubles round-trip via
-/// json_double_exact — pdt-trend uses this to copy fingerprint objects
+/// json_double_exact — pdt trend uses this to copy fingerprint objects
 /// verbatim from envelopes into registry records.
 [[nodiscard]] std::string json_serialize(const JsonValue& v);
 

@@ -15,10 +15,10 @@
 // wait-for blame edges. The recorder's shadow clocks are an identity fold
 // (so the final clocks survive the Machine's destruction into the
 // serialized log), in-process blame is a blame-on identity fold over
-// events(), and tools/pdt-replay runs the same fold over a parsed log.
+// events(), and tools/pdt replay runs the same fold over a parsed log.
 // Under unchanged constants every rescale factor is exactly 1.0, so an
 // offline replay reproduces every per-rank clock bit-exactly; that
-// identity is the contract `pdt-replay --check` and the replay tests
+// identity is the contract `pdt replay --check` and the replay tests
 // enforce.
 //
 // Charges are recorded *post* fault-injector scaling: a straggler's 2x

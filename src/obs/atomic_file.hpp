@@ -1,7 +1,7 @@
 // Crash-safe JSON artifact writing: temp file + atomic rename.
 //
 // Every JSON artifact the harnesses emit is consumed downstream by the
-// CI gates (pdt-diff, pdt-replay --check, pdt-report double-render). A
+// CI gates (pdt diff, pdt replay --check, pdt report double-render). A
 // harness killed mid-write used to leave a truncated file at the final
 // path, turning the next gate run into a JSON parse error instead of a
 // real verdict. AtomicFile writes to `<path>.tmp<pid>.<n>` (n = a

@@ -494,7 +494,7 @@ void write_events(JsonWriter& w, const mpsim::EventRecorder& rec,
   w.end_object();
 
   // Measured wall-clock overlay (absent when no host profiler ran, so
-  // pre-host logs stay byte-identical). pdt-replay uses this to chart
+  // pre-host logs stay byte-identical). pdt replay uses this to chart
   // predicted (virtual, re-priced) against measured (host) scaling.
   if (host != nullptr) {
     w.key("host");
@@ -562,7 +562,7 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
 
   // Per-phase rollup: host share vs. virtual share of their respective
   // grand totals, and the signed divergence in percentage points — the
-  // ranking pdt-report uses to surface where the cost model and the host
+  // ranking pdt report uses to surface where the cost model and the host
   // disagree most.
   w.key("by_phase").begin_array();
   const std::int64_t host_total = host.total_ns();

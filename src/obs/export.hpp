@@ -27,7 +27,7 @@
 //    event-sourced history from an EventRecorder — every charge with its
 //    latency decomposition and phase/level stamp, every barrier/timeout
 //    with its member set, every collective annotation — plus the final
-//    per-rank clocks. `tools/pdt-replay` consumes this to re-execute the
+//    per-rank clocks. `tools/pdt replay` consumes this to re-execute the
 //    run under arbitrary cost models. Schema in DESIGN.md §8. When a
 //    HostProfiler observed the same run, a "host" overlay object carries
 //    its wall-clock account so replays can chart predicted vs. measured.

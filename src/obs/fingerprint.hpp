@@ -3,14 +3,14 @@
 // the build and machine that produced it.
 //
 // A bench envelope without provenance is a point with no coordinates:
-// when the pdt-trend registry says "hybrid.P8 got 40% slower between
+// when the pdt trend registry says "hybrid.P8 got 40% slower between
 // run 12 and run 13", the first question is always "same binary? same
 // box?". EnvFingerprint answers it: git SHA + dirty flag (embedded at
 // configure time by src/obs/CMakeLists.txt), compiler id and the flags
 // it was invoked with, CPU model and core count, hostname, and every
 // PDT_* environment variable that shaped the run (PDT_SCALE, PDT_HOST,
 // ...). bench_util stamps it into every pdt-bench-v1 envelope and
-// pdt-events-v1 meta; pdt-trend copies it verbatim into each
+// pdt-events-v1 meta; pdt trend copies it verbatim into each
 // pdt-runs-v1 record.
 //
 // Everything here is collected once per process (the values cannot
@@ -35,7 +35,7 @@ struct EnvFingerprint {
   int cores = 0;          ///< std::thread::hardware_concurrency()
   std::string hostname;
   /// PDT_THREADS (the requested worker-thread count), "" when unset.
-  /// Also present in pdt_env; lifted out so pdt-trend explain can
+  /// Also present in pdt_env; lifted out so pdt trend explain can
   /// attribute a perf move to a thread-count change without parsing the
   /// env map.
   std::string pdt_threads;

@@ -10,7 +10,7 @@
 // transition to the (phase, level) that was current until now. Each cell
 // therefore holds the *self time* of its scope (nested scopes bill their
 // own time, not their parent's), and shares its key with the virtual
-// cell of the same scope — which is what lets pdt-report render
+// cell of the same scope — which is what lets pdt report render
 // simulated-vs-real side by side and rank where the cost model and the
 // host diverge.
 //

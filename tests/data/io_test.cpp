@@ -6,8 +6,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/runner.hpp"
 #include "data/golf.hpp"
 #include "data/quest.hpp"
+#include "dtree/builder.hpp"
 
 namespace pdt::data {
 namespace {
@@ -113,6 +115,52 @@ TEST(Csv, RejectsNonFiniteValuesByLine) {
     EXPECT_EQ(msg.rfind("csv line 3: row 1, column x: value ", 0), 0u) << msg;
     EXPECT_NE(msg.find("is not finite"), std::string::npos) << msg;
   }
+}
+
+TEST(Csv, RejectsSchemasWithFewerThanTwoClassesOrEmptyCategories) {
+  EXPECT_EQ(csv_rejection("x:cont,class:cat:1\n0.5,0\n"),
+            "schema: need at least 2 classes, got 1");
+  EXPECT_EQ(csv_rejection("x:cont,class:cat:0\n"),
+            "schema: need at least 2 classes, got 0");
+  EXPECT_EQ(csv_rejection("c:cat:0,class:cat:2\n"),
+            "schema: categorical attribute c has cardinality 0 (want >= 1)");
+  EXPECT_EQ(csv_rejection("c:cat:-3,class:cat:2\n"),
+            "schema: categorical attribute c has cardinality -3 (want >= 1)");
+  EXPECT_EQ(csv_rejection("c:cat:1,class:cat:2\n0,1\n"), "");
+}
+
+/// The std::invalid_argument message core::build_serial throws on the
+/// dataset `text` loads to.
+std::string build_rejection(const std::string& text) {
+  std::stringstream in(text);
+  const Dataset ds = load_csv(in);
+  try {
+    (void)core::build_serial(ds, core::ParOptions{});
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Csv, CountTablePastIntRangeIsRejectedNamingTheAttribute) {
+  // 2^30 slots x 4 classes = 2^32 cells, past the int range.
+  const std::string msg =
+      build_rejection("a:cat:1073741824,class:cat:4\n7,3\n");
+  EXPECT_NE(msg.find("at attribute a ("), std::string::npos) << msg;
+  EXPECT_NE(msg.find("1073741824 slots x 4 classes"), std::string::npos)
+      << msg;
+}
+
+TEST(Csv, HeaderOnlyInputLoadsButCannotBeBuilt) {
+  std::stringstream in("x:cont,class:cat:2\n");
+  const Dataset ds = load_csv(in);
+  EXPECT_EQ(ds.num_rows(), 0u);
+  EXPECT_EQ(build_rejection("x:cont,class:cat:2\n"),
+            "cannot build a tree from an empty dataset");
+  EXPECT_EQ(build_rejection("c:cat:3,class:cat:2\n"),
+            "cannot build a tree from an empty dataset");
+  EXPECT_THROW((void)dtree::grow_bfs(ds, dtree::GrowOptions{}),
+               std::invalid_argument);
 }
 
 TEST(Csv, FileRoundTrip) {

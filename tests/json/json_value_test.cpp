@@ -1,4 +1,4 @@
-// Tests for the pdt-report JSON reader: full-grammar parsing, insertion
+// Tests for the pdt report JSON reader: full-grammar parsing, insertion
 // order preservation, escape handling, and error reporting with byte
 // offsets.
 #include "json/json.hpp"
@@ -90,8 +90,8 @@ TEST(JsonValue, RejectsOverDeepNesting) {
   EXPECT_NE(err.find("deep"), std::string::npos) << err;
 }
 
-// Malformed-corpus coverage for the hardened reader: the files pdt-report
-// and pdt-diff ingest come from interrupted bench runs and hand edits, so
+// Malformed-corpus coverage for the hardened reader: the files pdt report
+// and pdt diff ingest come from interrupted bench runs and hand edits, so
 // truncation, IEEE-special literals, overflowing numbers, and duplicate
 // keys must all fail loudly with a byte offset — never parse to garbage.
 
@@ -181,7 +181,7 @@ TEST(JsonValue, RejectsEmptyAndWhitespaceOnlyInput) {
 }
 
 TEST(JsonValue, SerializeRoundTripsDocumentsCompactly) {
-  // json_serialize is how pdt-trend copies fingerprint objects from
+  // json_serialize is how pdt trend copies fingerprint objects from
   // envelopes into registry records: insertion order and exact doubles
   // must survive a parse -> serialize -> parse cycle.
   const std::string text =

@@ -3,10 +3,10 @@
 // mutant fed through json_parse, the model-node reader and
 // tree_from_nodes. Every mutant must fail with an error message or yield
 // a tree that is consistent with its own canonical form. Event-log
-// mutants that parse as JSON also go through pdt-replay's
+// mutants that parse as JSON also go through pdt replay's
 // parse_event_log and an identity replay: each fails with a message or
-// replays. The pdt-runs-v1 registry and the pdt-diff-baseline-v1 and
-// pdt-host-baseline-v1 readers get the same treatment: each mutant is
+// replays. The pdt-runs-v1 registry and pdt-diff-baseline-v1 readers
+// get the same treatment: each mutant is
 // rejected with a message or reads back to records whose written form
 // reads back to the same bytes. Run under the sanitizers, this is the
 // fuzz gate for the one JSON reader and every tools reader of perf
@@ -288,27 +288,6 @@ TEST(ParserMutation, BaselineMutantsFailCleanlyOrRoundTrip) {
     }
     std::ostringstream os;
     tools::write_baseline(entries, os);
-    *written = os.str();
-    return true;
-  });
-}
-
-TEST(ParserMutation, HostBaselineMutantsFailCleanlyOrRoundTrip) {
-  std::ostringstream doc;
-  tools::write_host_baseline(
-      {{"fig6_speedup", "sync.P4", "sync", 4, 3, 1.75e6, 2.5e4},
-       {"fig6_speedup", "hybrid.P8", "hybrid", 8, 3, 2.25e6, 5e3}},
-      doc);
-  fuzz_reader(doc.str(), [](const std::string& text, std::string* written,
-                            std::string* error) {
-    JsonValue root;
-    std::vector<tools::HostEntry> entries;
-    if (!json_parse(text, &root, error) ||
-        !tools::parse_host_baseline(root, &entries, error)) {
-      return false;
-    }
-    std::ostringstream os;
-    tools::write_host_baseline(entries, os);
     *written = os.str();
     return true;
   });

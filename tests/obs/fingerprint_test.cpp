@@ -79,7 +79,7 @@ TEST(EnvFingerprint, WritesDeterministicJsonObject) {
 
 TEST(EnvFingerprint, PdtThreadsIsLiftedOutOfEnvAndOmittedWhenUnset) {
   // PDT_THREADS gets its own first-class field (next to cores) so
-  // pdt-trend explain can attribute a perf move to a requested
+  // pdt trend explain can attribute a perf move to a requested
   // thread-count change without digging through the env map.
   ::setenv("PDT_THREADS", "16", 1);
   const EnvFingerprint with = EnvFingerprint::collect();

@@ -9,7 +9,7 @@
 //  * the analytic Section-4 prediction brackets the measured bottleneck
 //    for the synchronous formulation;
 //  * the per-rank peak shrinks as processors are added at fixed N — the
-//    paper's memory-scalability claim, and the basis of pdt-report's
+//    paper's memory-scalability claim, and the basis of pdt report's
 //    verdict.
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-// pdt-diff: baseline extraction, round-trip, and the regression gate.
+// pdt diff: baseline extraction, round-trip, and the regression gate.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -124,7 +124,7 @@ TEST(DiffGate, MissingTupleIsAFailure) {
 }
 
 // -------------------------------------------------------------------------
-// --host mode: median-of-k collapse, MAD math, and the noise-aware gate.
+// Host time: the median-of-k collapse and its MAD math.
 
 // One bench envelope carrying one repeat's host measurement.
 std::string host_bench(double total_ns) {
@@ -168,63 +168,6 @@ TEST(HostDiffExtract, CollapsesRepeatsToMedianAndMad) {
 TEST(HostDiffExtract, IgnoresEnvelopesWithoutHostSections) {
   const std::vector<ReportInput> inputs{parse("bench.json", kBench)};
   EXPECT_TRUE(extract_host_entries(inputs).empty());
-}
-
-TEST(HostDiffBaseline, WriteThenParseRoundTripsExactly) {
-  const std::vector<HostEntry> entries = host_entries({100e6, 120e6, 90e6});
-  std::ostringstream os;
-  write_host_baseline(entries, os);
-  EXPECT_NE(os.str().find("pdt-host-baseline-v1"), std::string::npos);
-
-  const ReportInput base = parse("base.json", os.str());
-  std::vector<HostEntry> back;
-  std::string error;
-  ASSERT_TRUE(parse_host_baseline(base.root, &back, &error)) << error;
-  ASSERT_EQ(back.size(), 1u);
-  EXPECT_EQ(back[0].tag, entries[0].tag);
-  EXPECT_EQ(back[0].k, entries[0].k);
-  EXPECT_EQ(back[0].median_ns, entries[0].median_ns) << "bit-exact";
-  EXPECT_EQ(back[0].mad_ns, entries[0].mad_ns);
-
-  std::vector<HostEntry> out;
-  const ReportInput wrong =
-      parse("x.json", R"({"schema": "pdt-diff-baseline-v1", "entries": []})");
-  EXPECT_FALSE(parse_host_baseline(wrong.root, &out, &error));
-  EXPECT_NE(error.find("pdt-host-baseline-v1"), std::string::npos);
-}
-
-TEST(HostDiffGate, MadBandForgivesJitterThatPlainTolWouldCatch) {
-  // Baseline median 100ms (MAD 10ms); current median 160ms (MAD 10ms).
-  const std::vector<HostEntry> baseline = host_entries({100e6, 120e6, 90e6});
-  const std::vector<HostEntry> current = host_entries({160e6, 170e6, 150e6});
-
-  // 60% drift: past any sane relative tolerance alone...
-  HostDiffOptions strict;
-  strict.tol = 0.1;
-  strict.mad_k = 0.0;
-  std::ostringstream os1;
-  EXPECT_EQ(run_host_diff(baseline, current, strict, os1), 1);
-  EXPECT_NE(os1.str().find("FAIL"), std::string::npos);
-
-  // ...but inside the measured jitter band:
-  // 5 * 1.4826 * (10ms + 10ms) = 148.26ms >= 60ms drift.
-  HostDiffOptions noisy;
-  noisy.tol = 0.0;
-  noisy.mad_k = 5.0;
-  std::ostringstream os2;
-  EXPECT_EQ(run_host_diff(baseline, current, noisy, os2), 0);
-  EXPECT_NE(os2.str().find("OK: 0 of 1"), std::string::npos);
-
-  // Identical repeats always pass at the defaults.
-  std::ostringstream os3;
-  EXPECT_EQ(run_host_diff(baseline, baseline, HostDiffOptions{}, os3), 0);
-}
-
-TEST(HostDiffGate, MissingHostTupleIsAFailure) {
-  const std::vector<HostEntry> baseline = host_entries({100e6});
-  std::ostringstream os;
-  EXPECT_EQ(run_host_diff(baseline, {}, HostDiffOptions{}, os), 1);
-  EXPECT_NE(os.str().find("MISSING"), std::string::npos);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The headline invariant of the event-sourced log: pdt-replay's offline
+// The headline invariant of the event-sourced log: pdt replay's offline
 // re-execution of a pdt-events-v1 file under the recorded constants
 // reproduces every per-rank virtual clock bit-exactly (operator==, no
 // tolerance) — for all three formulations, several processor counts, and

@@ -1,4 +1,4 @@
-// Tests for the pdt-report renderer: each schema renders its sections,
+// Tests for the pdt report renderer: each schema renders its sections,
 // the output is deterministic (render twice, compare byte-for-byte), and
 // unrecognized schemas are reported without aborting the whole run.
 #include "report/report.hpp"

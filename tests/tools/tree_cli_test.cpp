@@ -1,4 +1,4 @@
-// pdt-tree: pdt-model-v1 parsing/validation, diff divergence reporting,
+// pdt tree: pdt-model-v1 parsing/validation, diff divergence reporting,
 // and eval reproduction of the recorded held-out accuracy.
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-// pdt-trend: the pdt-runs-v1 registry, the changepoint gate against the
+// pdt trend: the pdt-runs-v1 registry, the changepoint gate against the
 // trailing window, and the (phase, level) regression explanation.
 #include <gtest/gtest.h>
 
@@ -139,9 +139,9 @@ TEST(TrendIngest, FoldsCommittedBaselinesAndRejectsUnknownSchemas) {
     "entries": [{"harness": "fig6_speedup", "tag": "hybrid.P8",
                  "formulation": "hybrid", "procs": 8, "k": 3,
                  "median_ns": 100000000.0, "mad_ns": 1000000.0}]})");
-  ASSERT_TRUE(record_from_artifact(host, &rec, &error)) << error;
-  ASSERT_EQ(rec.host.size(), 1u);
-  EXPECT_TRUE(rec.host[0].cells.empty()) << "baselines carry no cells";
+  EXPECT_FALSE(record_from_artifact(host, &rec, &error))
+      << "host baselines are no longer a schema";
+  EXPECT_NE(error.find("pdt-host-baseline-v1"), std::string::npos);
 
   const ReportInput bad = parse("m.json", R"({"schema": "pdt-mem-v1"})");
   EXPECT_FALSE(record_from_artifact(bad, &rec, &error));
@@ -222,6 +222,37 @@ TEST(TrendCheck, ImprovementIsAChangepointButNotAFailure) {
   EXPECT_EQ(run_trend_check(runs, TrendOptions{}, os, &doc), 0);
   EXPECT_NE(os.str().find("IMPROVED"), std::string::npos);
   EXPECT_NE(doc.find("\"verdict\": \"IMPROVED\""), std::string::npos);
+}
+
+TEST(TrendCheck, MadBandForgivesJitterThatPlainTolWouldCatch) {
+  // Latest median 160 ms (MAD 10 ms) against a one-record window at
+  // 100 ms, whose own across-run MAD is 0.
+  std::vector<RunRecord> runs(2);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    runs[i].seq = static_cast<std::int64_t>(i) + 1;
+    TrendHostTuple t;
+    t.entry = {"fig6_speedup", "hybrid.P8", "hybrid", 8, 3,
+               i == 0 ? 100e6 : 160e6, 10e6};
+    runs[i].host.push_back(std::move(t));
+  }
+
+  // 60% drift: past any sane relative tolerance alone...
+  TrendOptions strict;
+  strict.tol = 0.1;
+  strict.mad_k = 0.0;
+  std::ostringstream os1;
+  EXPECT_EQ(run_trend_check(runs, strict, os1, nullptr), 1);
+  EXPECT_NE(os1.str().find("FAIL    [host]"), std::string::npos);
+
+  // ...but inside the measured jitter band:
+  // 5 * 1.4826 * (0 + 10 ms) = 74.13 ms >= 60 ms drift.
+  TrendOptions noisy;
+  noisy.tol = 0.0;
+  noisy.mad_k = 5.0;
+  std::ostringstream os2;
+  EXPECT_EQ(run_trend_check(runs, noisy, os2, nullptr), 0);
+  EXPECT_NE(os2.str().find("band ±74.130 ms"), std::string::npos)
+      << os2.str();
 }
 
 TEST(TrendCheck, VirtualDriftPastVtolFails) {
@@ -503,7 +534,7 @@ TEST(TrendThreads, SingleThreadedRunsOmitTheKeyAndOldLinesParseClean) {
 }
 
 TEST(TrendThreads, LinesCarryingAThreadsArrayStillParseCheckAndExplain) {
-  // Registries written while pdt-trend still folded pdt-threads-v1
+  // Registries written while pdt trend still folded pdt-threads-v1
   // telemetry end each line with a "threads" array. Such lines must keep
   // parsing (the array is ignored), and check/explain must run on them.
   const std::string kThreads =

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -32,6 +34,61 @@ bool standard_flag(const CliSpec& spec, std::string_view arg,
     return true;
   }
   return false;
+}
+
+namespace {
+
+/// Print "<tool>: <flag>=<text>: want <what>" and return false.
+bool reject_flag(const CliSpec& spec, std::string_view flag,
+                 std::string_view text, const std::string& what) {
+  std::fprintf(stderr, "%s: %.*s=%.*s: want %s\n", spec.tool,
+               static_cast<int>(flag.size()), flag.data(),
+               static_cast<int>(text.size()), text.data(), what.c_str());
+  return false;
+}
+
+std::string number_text(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+}  // namespace
+
+bool parse_finite(std::string_view text, double* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+bool flag_number(const CliSpec& spec, std::string_view flag,
+                 std::string_view text, double lo, double hi, double* out,
+                 bool open) {
+  double v = 0.0;
+  if (parse_finite(text, &v) &&
+      (open ? v > lo && v < hi : v >= lo && v <= hi)) {
+    *out = v;
+    return true;
+  }
+  return reject_flag(spec, flag, text,
+                     "a finite number in " + std::string(open ? "(" : "[") +
+                         number_text(lo) + ", " + number_text(hi) +
+                         (open || std::isinf(hi) ? ")" : "]"));
+}
+
+bool flag_int(const CliSpec& spec, std::string_view flag,
+              std::string_view text, std::int64_t lo, std::int64_t hi,
+              std::int64_t* out) {
+  std::int64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec == std::errc() && ptr == end && v >= lo && v <= hi) {
+    *out = v;
+    return true;
+  }
+  return reject_flag(spec, flag, text,
+                     "an integer in [" + std::to_string(lo) + ", " +
+                         std::to_string(hi) + "]");
 }
 
 bool read_file(const std::string& path, std::string* out) {

@@ -1,7 +1,7 @@
-// Shared command-line plumbing for the offline tools (pdt-report,
-// pdt-diff, pdt-replay, pdt-trend): one exit-code convention, uniform
-// --help/--version handling, and the hardened load-and-parse step every
-// tool performs on its JSON inputs.
+// Shared command-line plumbing for the `pdt` commands (report, diff,
+// replay, trend, tree): one exit-code convention, uniform --help/--version
+// handling, one numeric-flag parser, and the hardened load-and-parse step
+// every command performs on its JSON inputs.
 //
 // Exit-code contract (tested, and relied on by CI):
 //   0  success
@@ -10,6 +10,7 @@
 //   2  usage error, unreadable input, or JSON parse error
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -25,7 +26,7 @@ inline constexpr int kExitUsage = 2;
 inline constexpr const char* kToolsVersion = "0.12.0";
 
 struct CliSpec {
-  const char* tool;   ///< binary name, e.g. "pdt-report"
+  const char* tool;   ///< command name, e.g. "pdt report"
   const char* usage;  ///< full usage text, newline-terminated
 };
 
@@ -36,6 +37,23 @@ int usage(const CliSpec& spec);
 /// Uniform handling of -h/--help/--version. Returns true when `arg` was
 /// one of them; `*exit_code` is then the code to exit with (kExitOk).
 bool standard_flag(const CliSpec& spec, std::string_view arg, int* exit_code);
+
+/// Parse all of `text` as a finite number (no NaN, no Inf, no trailing
+/// bytes); false otherwise.
+[[nodiscard]] bool parse_finite(std::string_view text, double* out);
+
+/// Parse `text`, the value of command-line flag `flag`, as a finite
+/// number in [lo, hi] (in (lo, hi) when `open`). On failure prints
+/// "<tool>: <flag>=<text>: want ..." to stderr and returns false (the
+/// caller exits kExitUsage).
+[[nodiscard]] bool flag_number(const CliSpec& spec, std::string_view flag,
+                               std::string_view text, double lo, double hi,
+                               double* out, bool open = false);
+
+/// The integer variant of flag_number: all of `text` in [lo, hi].
+[[nodiscard]] bool flag_int(const CliSpec& spec, std::string_view flag,
+                            std::string_view text, std::int64_t lo,
+                            std::int64_t hi, std::int64_t* out);
 
 /// Read the whole file at `path` into `*out`; false when it cannot be
 /// opened or read.
@@ -49,9 +67,9 @@ bool load_json_file(const CliSpec& spec, const std::string& path,
 
 /// Write `content` to `path` crash-safely: stream to `<path>.tmp<pid>`,
 /// then rename onto the final path (the tools-side mirror of
-/// obs::AtomicFile — the tools do not link the obs library). On failure prints "<tool>: cannot write <path>" to stderr,
-/// removes the temp, and returns false (callers exit kExitFail — output,
-/// not input, failed).
+/// obs::AtomicFile — the tools do not link the obs library). On failure
+/// prints "<tool>: cannot write <path>" to stderr, removes the temp, and
+/// returns false (callers exit kExitFail — output, not input, failed).
 bool write_file_atomic(const CliSpec& spec, const std::string& path,
                        const std::string& content);
 

@@ -28,9 +28,4 @@ double mad_of(const std::vector<double>& v) {
   return median_of(std::move(dev));
 }
 
-double noise_band(double base, double mad_a, double mad_b, double tol,
-                  double mad_k) {
-  return std::max(tol * base, mad_k * 1.4826 * (mad_a + mad_b));
-}
-
 }  // namespace pdt::tools

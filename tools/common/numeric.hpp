@@ -1,6 +1,5 @@
-// Number helpers the offline tools share: fixed-decimal table cells and
-// the median/MAD noise band that pdt-diff --host and pdt-trend check both
-// gate host time on (DESIGN.md §9), so the two gates cannot drift apart.
+// Number helpers the `pdt` commands share: fixed-decimal table cells and
+// the median/MAD collapse of host-time repeats (DESIGN.md §9).
 #pragma once
 
 #include <string>
@@ -19,12 +18,5 @@ namespace pdt::tools {
 
 /// Median absolute deviation of `v` around its own median.
 [[nodiscard]] double mad_of(const std::vector<double>& v);
-
-/// Allowed |delta| around `base`: max(tol * base, mad_k * 1.4826 *
-/// (mad_a + mad_b)). 1.4826 * MAD estimates one standard deviation for
-/// normal noise, so mad_k counts sigmas of combined jitter to forgive; the
-/// tol floor keeps a near-zero-MAD baseline from demanding bit-exact time.
-[[nodiscard]] double noise_band(double base, double mad_a, double mad_b,
-                                double tol, double mad_k);
 
 }  // namespace pdt::tools

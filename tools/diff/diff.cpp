@@ -156,7 +156,7 @@ int run_diff(const std::vector<DiffEntry>& baseline,
   return failures;
 }
 
-// ------------------------------------------------------------ host mode --
+// ------------------------------------------------------------ host time --
 
 std::vector<HostEntry> extract_host_entries(
     const std::vector<ReportInput>& inputs) {
@@ -193,89 +193,6 @@ std::vector<HostEntry> extract_host_entries(
     tuples[i].mad_ns = mad_of(samples[i]);
   }
   return tuples;
-}
-
-bool parse_host_baseline(const JsonValue& root, std::vector<HostEntry>* out,
-                         std::string* error) {
-  if (root.get("schema").as_string() != "pdt-host-baseline-v1") {
-    if (error != nullptr) {
-      *error = "schema is not pdt-host-baseline-v1 (got \"" +
-               root.get("schema").as_string() + "\")";
-    }
-    return false;
-  }
-  out->clear();
-  for (const JsonValue& e : root.get("entries").array()) {
-    HostEntry h;
-    h.harness = e.get("harness").as_string();
-    h.tag = e.get("tag").as_string();
-    h.formulation = e.get("formulation").as_string();
-    h.procs = e.get("procs").as_int();
-    h.k = e.get("k").as_int();
-    h.median_ns = e.get("median_ns").as_double();
-    h.mad_ns = e.get("mad_ns").as_double();
-    if (h.harness.empty() || h.tag.empty() || h.procs <= 0 ||
-        h.median_ns <= 0.0) {
-      if (error != nullptr) {
-        *error = "host baseline entry missing harness/tag/procs/median_ns";
-      }
-      return false;
-    }
-    out->push_back(std::move(h));
-  }
-  return true;
-}
-
-void write_host_baseline(const std::vector<HostEntry>& entries,
-                         std::ostream& os) {
-  os << "{\n  \"schema\": \"pdt-host-baseline-v1\",\n  \"entries\": [";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const HostEntry& e = entries[i];
-    os << (i == 0 ? "" : ",") << "\n    {\"harness\": \""
-       << json_escaped(e.harness) << "\", \"tag\": \"" << json_escaped(e.tag)
-       << "\", \"formulation\": \"" << json_escaped(e.formulation)
-       << "\", \"procs\": " << e.procs << ", \"k\": " << e.k
-       << ", \"median_ns\": " << json_double_exact(e.median_ns)
-       << ", \"mad_ns\": " << json_double_exact(e.mad_ns) << "}";
-  }
-  os << "\n  ]\n}\n";
-}
-
-int run_host_diff(const std::vector<HostEntry>& baseline,
-                  const std::vector<HostEntry>& current,
-                  const HostDiffOptions& opt, std::ostream& os) {
-  int failures = 0;
-  os << "comparing " << baseline.size() << " host tuples (floor "
-     << fmt(100.0 * opt.tol, 1) << "%, mad_k " << fmt(opt.mad_k, 1) << ")\n";
-  for (const HostEntry& b : baseline) {
-    const HostEntry* cur = nullptr;
-    for (const HostEntry& c : current) {
-      if (same_host_tuple(b, c)) {
-        cur = &c;
-        break;
-      }
-    }
-    const std::string name = tuple_name(b);
-    if (cur == nullptr) {
-      ++failures;
-      os << "MISSING " << name << " — tuple absent from current results\n";
-      continue;
-    }
-    const double band =
-        noise_band(b.median_ns, b.mad_ns, cur->mad_ns, opt.tol, opt.mad_k);
-    const double delta = cur->median_ns - b.median_ns;
-    const bool fail = std::fabs(delta) > band;
-    if (fail) ++failures;
-    os << (fail ? "FAIL    " : "ok      ") << name << " — median "
-       << fmt_ms(b.median_ns) << " -> " << fmt_ms(cur->median_ns) << " ms ("
-       << (delta >= 0.0 ? "+" : "") << fmt(100.0 * delta / b.median_ns, 1)
-       << "%), band ±" << fmt_ms(band) << " ms (k=" << b.k << "/" << cur->k
-       << ", mad " << fmt_ms(b.mad_ns) << "/" << fmt_ms(cur->mad_ns)
-       << " ms)\n";
-  }
-  os << (failures == 0 ? "OK" : "REGRESSION") << ": " << failures << " of "
-     << baseline.size() << " host tuples failed\n";
-  return failures;
 }
 
 }  // namespace pdt::tools

@@ -1,6 +1,6 @@
 // Performance-regression comparison of pdt-bench-v1 report files.
 //
-// pdt-diff works on the speedup_series sections every figure harness
+// pdt diff works on the speedup_series sections every figure harness
 // emits: each (harness, workload, formulation, procs) tuple carries the
 // run's virtual time, speedup, and efficiency. Because the simulator's
 // virtual clock is a pure function of the dataset seed and PDT_SCALE,
@@ -72,16 +72,14 @@ struct DiffOptions {
                            const std::vector<DiffEntry>& current,
                            const DiffOptions& opt, std::ostream& os);
 
-// ------------------------------------------------------------ host mode --
+// ------------------------------------------------------------ host time --
 //
 // Unlike the virtual clock, host wall time is noisy: the same binary on
-// the same machine jitters run to run, and different machines differ by
-// integer factors. The host gate therefore works on *repeats*: each
-// (harness, tag, formulation, procs) tuple is measured k times (one
-// bench envelope per repeat), collapsed to median + MAD (median absolute
-// deviation — a robust spread immune to one slow outlier run), and the
-// tolerance band scales with the measured noise (noise_band in
-// common/numeric.hpp, which pdt-trend check shares).
+// the same machine jitters run to run. Each (harness, tag, formulation,
+// procs) tuple is therefore measured k times (one bench envelope per
+// repeat) and collapsed to median + MAD (median absolute deviation — a
+// robust spread immune to one slow outlier run). `pdt trend` records
+// these tuples and gates them inside the noise band of common/numeric.hpp.
 
 /// One host-time tuple with its repeats collapsed to median + MAD (both
 /// in nanoseconds; k = number of repeats observed).
@@ -107,32 +105,5 @@ struct HostEntry {
 /// order; sections without a "host" member contribute nothing.
 [[nodiscard]] std::vector<HostEntry> extract_host_entries(
     const std::vector<ReportInput>& inputs);
-
-/// Parse a pdt-host-baseline-v1 document.
-[[nodiscard]] bool parse_host_baseline(const JsonValue& root,
-                                       std::vector<HostEntry>* out,
-                                       std::string* error);
-
-/// Write entries as a pdt-host-baseline-v1 document (deterministic,
-/// input-ordered).
-void write_host_baseline(const std::vector<HostEntry>& entries,
-                         std::ostream& os);
-
-struct HostDiffOptions {
-  /// Relative floor of the tolerance band. Host times are not portable
-  /// across machines, so a committed baseline gates with a generous
-  /// default that still catches order-of-magnitude regressions.
-  double tol = 0.5;
-  /// MAD multiplier: how many ~sigmas of combined baseline+current
-  /// jitter to forgive on top of the floor.
-  double mad_k = 5.0;
-};
-
-/// Compare current host medians against a baseline; a line per tuple.
-/// Returns the number of failures (drift past the noise band, or
-/// baseline tuples missing from `current`).
-[[nodiscard]] int run_host_diff(const std::vector<HostEntry>& baseline,
-                                const std::vector<HostEntry>& current,
-                                const HostDiffOptions& opt, std::ostream& os);
 
 }  // namespace pdt::tools

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <map>
 
+#include "common/cli.hpp"
+
 namespace pdt::tools {
 
 bool set_cost_constant(mpsim::CostModel* cost, std::string_view key,
@@ -205,28 +207,21 @@ bool parse_sweep_spec(std::string_view spec, std::vector<SweepAxis>* out,
     axis.key = std::string(part.substr(0, eq));
     mpsim::CostModel probe;
     if (!set_cost_constant(&probe, axis.key, 0.0, error)) return false;
-    const std::string range(part.substr(eq + 1));
-    char* end = nullptr;
-    axis.lo = std::strtod(range.c_str(), &end);
-    if (end == range.c_str()) {
-      return fail("sweep axis \"" + axis.key + "\": bad LO value");
-    }
-    if (*end == '\0') {
-      axis.hi = axis.lo;  // single-point axis: KEY=V
-      axis.step = 1.0;
-    } else {
-      if (*end != ':') return fail("sweep axis \"" + axis.key + "\": expected LO:HI:STEP");
-      const char* s = end + 1;
-      axis.hi = std::strtod(s, &end);
-      if (end == s || *end != ':') {
-        return fail("sweep axis \"" + axis.key + "\": expected LO:HI:STEP");
-      }
-      s = end + 1;
-      axis.step = std::strtod(s, &end);
-      if (end == s || *end != '\0' || !std::isfinite(axis.step) ||
-          axis.step <= 0.0 || axis.hi < axis.lo) {
-        return fail("sweep axis \"" + axis.key + "\": expected LO:HI:STEP with STEP > 0, HI >= LO");
-      }
+    const std::string_view range = part.substr(eq + 1);
+    const std::size_t c1 = range.find(':');
+    const std::size_t c2 =
+        c1 == std::string_view::npos ? c1 : range.find(':', c1 + 1);
+    axis.step = 1.0;  // a single-point axis KEY=V has HI = LO
+    const bool ok =
+        c1 == std::string_view::npos
+            ? parse_finite(range, &axis.lo) && parse_finite(range, &axis.hi)
+            : c2 != std::string_view::npos &&
+                  parse_finite(range.substr(0, c1), &axis.lo) &&
+                  parse_finite(range.substr(c1 + 1, c2 - c1 - 1), &axis.hi) &&
+                  parse_finite(range.substr(c2 + 1), &axis.step);
+    if (!ok || axis.step <= 0.0 || axis.hi < axis.lo) {
+      return fail("sweep axis \"" + axis.key +
+                  "\": expected finite LO[:HI:STEP] with STEP > 0, HI >= LO");
     }
     std::string why;
     if (!set_cost_constant(&probe, axis.key, axis.lo, &why) ||

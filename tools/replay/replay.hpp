@@ -8,7 +8,7 @@
 // waits are recomputed with the simulator's max/assignment arithmetic.
 // With target == recorded constants every ratio is exactly 1.0, so the
 // replayed per-rank clocks — and max_clock — are bit-exact copies of the
-// recorded run. That identity is the contract `pdt-replay --check`, the
+// recorded run. That identity is the contract `pdt replay --check`, the
 // replay tests, and CI enforce.
 //
 // On top of the single replay: --sweep grids produce speedup/efficiency

@@ -10,6 +10,17 @@
 
 namespace pdt::tools {
 
+bool load_inputs(const CliSpec& spec, const std::vector<std::string>& paths,
+                 std::vector<ReportInput>* out) {
+  for (const std::string& path : paths) {
+    ReportInput in;
+    in.name = path;
+    if (!load_json_file(spec, path, &in.root)) return false;
+    out->push_back(std::move(in));
+  }
+  return true;
+}
+
 namespace {
 
 std::string fmt_int(double v) { return fmt(v, 0); }
@@ -583,7 +594,7 @@ void render_speedup_tables(const JsonValue& sections, std::ostream& os) {
 
 // One row per "model" section: the classifier each tagged run grew. The
 // digest column is the headline — every formulation at every P growing
-// one workload must show the same value (pdt-tree diff turns a mismatch
+// one workload must show the same value (pdt tree diff turns a mismatch
 // into a failing gate; this table is where a human spots it first).
 void render_model_table(const JsonValue& sections, std::ostream& os) {
   bool any = false;

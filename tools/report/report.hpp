@@ -3,7 +3,7 @@
 // render_report() accepts any mix of parsed pdt-bench-v1 envelopes (the
 // <harness>.json files the bench binaries write), bare pdt-metrics-v1 /
 // pdt-comm-v1 / pdt-mem-v1 objects, and pdt-replay-v1 reports (what
-// pdt-replay emits: identity checks, what-if sweeps, measured-vs-analytic
+// pdt replay emits: identity checks, what-if sweeps, measured-vs-analytic
 // isoefficiency, wait-for blame), and renders the analysis views the
 // paper argues from: speedup/efficiency tables, per-level time breakdown
 // with load-imbalance factors, the collective cost-model error (measured
@@ -20,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "json/json.hpp"
 
 namespace pdt::tools {
@@ -28,6 +29,13 @@ struct ReportInput {
   std::string name;  ///< display name (typically the file path)
   JsonValue root;
 };
+
+/// Load and parse each of `paths` as a ReportInput named by its path.
+/// False after load_json_file's diagnostic on the first that fails (the
+/// caller exits kExitUsage).
+[[nodiscard]] bool load_inputs(const CliSpec& spec,
+                               const std::vector<std::string>& paths,
+                               std::vector<ReportInput>* out);
 
 /// The selectable section names, in render order (what --list-sections
 /// prints and --section validates against).

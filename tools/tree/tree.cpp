@@ -275,7 +275,7 @@ int run_eval(const ModelDoc& m, std::ostream& os) {
   data::Dataset ds;
   std::string why;
   if (!regen_eval_dataset(m, &ds, &why)) {
-    out(os, "pdt-tree: %s: cannot evaluate: %s\n", m.name.c_str(),
+    out(os, "pdt tree: %s: cannot evaluate: %s\n", m.name.c_str(),
         why.c_str());
     return kExitFail;
   }

@@ -1,6 +1,6 @@
-// pdt-tree — offline inspector for pdt-model-v1 documents.
+// pdt tree — offline inspector for pdt-model-v1 documents.
 //
-// Unlike the other tools, pdt-tree deliberately links the simulator's
+// Unlike the other tools, pdt tree deliberately links the simulator's
 // dtree and data libraries: its whole point is to *reconstruct* the
 // serialized classifier (replaying Tree::expand() over the canonical
 // node array, validating every derived field), recompute the content
@@ -55,25 +55,25 @@ struct AuditMargin {
 /// (unknown schema, malformed node, replay validation failure).
 [[nodiscard]] std::string parse_model(const JsonValue& root, ModelDoc* out);
 
-/// `pdt-tree inspect`: provenance, shape, per-level node/leaf table,
+/// `pdt tree inspect`: provenance, shape, per-level node/leaf table,
 /// leaf-purity histogram, audit summary. Always kExitOk (informational),
 /// but a recorded/recomputed digest mismatch is called out loudly.
 int run_inspect(const ModelDoc& m, std::ostream& os);
 
-/// `pdt-tree diff`: kExitOk when the recomputed digests agree (the trees
+/// `pdt tree diff`: kExitOk when the recomputed digests agree (the trees
 /// are byte-identical in canonical form), else prints the first divergent
 /// canonical node — with each side's test and its audited decision margin
 /// — and returns kExitFail.
 int run_diff(const ModelDoc& a, const ModelDoc& b, std::ostream& os);
 
-/// `pdt-tree eval`: regenerate the held-out sample from the recorded
+/// `pdt tree eval`: regenerate the held-out sample from the recorded
 /// provenance (Quest generator + optional paper binning), re-measure
 /// accuracy and the confusion matrix, tally per-leaf hit counts. Returns
 /// kExitFail when the document recorded a different accuracy (or the
 /// provenance cannot be regenerated), else kExitOk.
 int run_eval(const ModelDoc& m, std::ostream& os);
 
-/// `pdt-tree ckpt`: inspect/verify pdt-ckpt-v1 durable checkpoints.
+/// `pdt tree ckpt`: inspect/verify pdt-ckpt-v1 durable checkpoints.
 /// `path` is one epoch file (detailed dump) or a checkpoint directory
 /// (every epoch validated through core::parse_ckpt — the resume path's
 /// own parser — plus the advisory MANIFEST). Returns kExitOk only when

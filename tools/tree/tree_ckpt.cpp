@@ -1,8 +1,8 @@
-// `pdt-tree ckpt` — inspect and verify pdt-ckpt-v1 durable checkpoints.
+// `pdt tree ckpt` — inspect and verify pdt-ckpt-v1 durable checkpoints.
 //
 // Points at either one epoch file or a checkpoint directory. Every file
 // is validated through core::parse_ckpt — the same parser the resume
-// path uses — so "pdt-tree ckpt says ok" and "a crash-restart will
+// path uses — so "pdt tree ckpt says ok" and "a crash-restart will
 // accept this epoch" are the same statement. The MANIFEST is shown for
 // orientation but, like the loader, never trusted: the verdict comes
 // from the epoch files themselves.

@@ -393,22 +393,9 @@ bool record_from_artifact(const ReportInput& input, RunRecord* out,
     *out = RunRecord{};
     return parse_baseline(input.root, &out->virt, error);
   }
-  if (schema == "pdt-host-baseline-v1") {
-    *out = RunRecord{};
-    std::vector<HostEntry> entries;
-    if (!parse_host_baseline(input.root, &entries, error)) return false;
-    out->host.reserve(entries.size());
-    for (HostEntry& e : entries) {
-      TrendHostTuple t;
-      t.entry = std::move(e);
-      out->host.push_back(std::move(t));
-    }
-    return true;
-  }
   if (error != nullptr) {
     *error = "cannot ingest schema \"" + schema +
-             "\" (want pdt-bench-v1, pdt-diff-baseline-v1, or "
-             "pdt-host-baseline-v1)";
+             "\" (want pdt-bench-v1 or pdt-diff-baseline-v1)";
   }
   return false;
 }
@@ -448,11 +435,14 @@ Verdict test_at(const Series& s, std::size_t pos, const TrendOptions& opt) {
   v.tested = true;
   v.base = median_of(win);
   if (s.is_host) {
-    // Same band semantics as pdt-diff --host (DESIGN.md section 9), with
-    // the across-run spread of the window's medians standing in for the
-    // baseline's within-run MAD.
-    v.band = noise_band(v.base, mad_of(win), s.mads[pos], opt.tol,
-                        opt.mad_k);
+    // The noise band of DESIGN.md section 9: max(tol * base, mad_k *
+    // 1.4826 * (window MAD + current MAD)). 1.4826 * MAD estimates one
+    // standard deviation for normal noise, so mad_k counts sigmas of
+    // combined jitter to forgive; the tol floor keeps a near-zero-MAD
+    // window from demanding bit-exact time. The across-run spread of the
+    // window's medians stands in for a baseline's within-run MAD.
+    v.band = std::max(opt.tol * v.base,
+                      opt.mad_k * 1.4826 * (mad_of(win) + s.mads[pos]));
   } else {
     // The virtual clock is deterministic: a plain relative tolerance.
     v.band = opt.vtol * v.base;
@@ -691,8 +681,9 @@ int run_trend_check(const std::vector<RunRecord>& runs,
                                                  : "ok      ";
       os << tagc << (s.is_host ? "[host] " : "[virt] ") << s.name;
       if (verdict == "missing") {
-        // Completeness is pdt-diff's job; the trend gate only warns so a
-        // narrowed harness run cannot hard-fail history it never touched.
+        // Completeness is the caller's call (CI's fixed host gate fails on
+        // a MISSING [host] line); the trend gate only warns so a narrowed
+        // harness run cannot hard-fail history it never touched.
         os << " — absent from latest run (warning)\n";
       } else if (last.tested) {
         const double delta = latest - last.base;

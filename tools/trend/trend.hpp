@@ -1,8 +1,8 @@
 // Cross-run performance history: the pdt-runs-v1 registry, changepoint
 // gating, and regression explanation.
 //
-// pdt-diff answers "did THIS build drift from ONE committed baseline?".
-// pdt-trend answers the production question the paper's Fig. 6-9
+// pdt diff answers "did THIS build drift from ONE committed baseline?".
+// pdt trend answers the production question the paper's Fig. 6-9
 // arguments rest on: "what is the *trajectory*?" — a perf time series
 // across harness runs, each record stamped with the EnvFingerprint of
 // the build that produced it, so a regression can be pinned to a commit,
@@ -21,15 +21,15 @@
 //
 // `check` is the noise-aware gate over the series: for each tuple in
 // the latest record, the trailing window of earlier records collapses
-// to median + MAD and the verdict uses the same band semantics as
-// `pdt-diff --host` (DESIGN.md section 9):
+// to median + MAD and the verdict uses the noise band of DESIGN.md
+// section 9:
 //   band = max(tol * window_median, mad_k * 1.4826 * (window_mad + cur_mad))
 // A latest value above the band is a REGRESSION (exit 1); below it is an
 // IMPROVEMENT (a changepoint worth a look, not a failure). The same
 // rolling test applied at every prior position yields the changepoint
 // markers the trend report draws.
 //
-// pdt-trend links no simulator libraries and its outputs depend only on
+// pdt_trend_lib links no simulator libraries and its outputs depend only on
 // the input bytes.
 #pragma once
 
@@ -54,7 +54,7 @@ struct TrendCell {
   double virtual_us = 0.0;
 };
 
-/// A host tuple (median-of-k + MAD, as in pdt-diff --host) plus its
+/// A host tuple (median-of-k + MAD, see extract_host_entries) plus its
 /// per-(phase, level) attribution cells.
 struct TrendHostTuple {
   HostEntry entry;
@@ -147,8 +147,8 @@ struct RunRecord {
     const std::vector<ReportInput>& inputs);
 
 /// Fold one pre-registry artifact into a record: a pdt-diff-baseline-v1
-/// (virtual tuples), a pdt-host-baseline-v1 (host tuples, no cells), or
-/// a full pdt-bench-v1 envelope. Returns false on any other schema.
+/// (virtual tuples) or a full pdt-bench-v1 envelope. Returns false on any
+/// other schema.
 [[nodiscard]] bool record_from_artifact(const ReportInput& input,
                                         RunRecord* out, std::string* error);
 
@@ -156,7 +156,7 @@ struct RunRecord {
 
 struct TrendOptions {
   int window = 5;      ///< trailing records the baseline collapses from
-  double tol = 0.5;    ///< host relative floor (matches pdt-diff --host)
+  double tol = 0.5;    ///< host relative floor
   double mad_k = 5.0;  ///< host sigmas of combined jitter to forgive
   double vtol = 0.02;  ///< virtual relative tolerance (matches the CI gate)
   int top_cells = 5;   ///< (phase, level) cells ranked per explanation
@@ -165,7 +165,7 @@ struct TrendOptions {
 /// Changepoint/drift check over the registry: write a verdict line per
 /// tuple of the latest record to `os` and, when `doc` is non-null, the
 /// machine-readable pdt-trend-v1 report (series, changepoint markers,
-/// explain summaries — what pdt-report renders as the trend section).
+/// explain summaries — what pdt report renders as the trend section).
 /// Returns the number of regressions (0 when the registry holds fewer
 /// than two records — no history, nothing to gate).
 [[nodiscard]] int run_trend_check(const std::vector<RunRecord>& runs,
