@@ -131,10 +131,10 @@ std::string state_text(const RunSnapshot& s) {
     os << "\n"
        << "nodes " << p.frontier.size() << "\n";
     for (const NodeWork& nw : p.frontier) {
-      os << "node " << nw.node_id << " " << nw.local_rows.size() << "\n";
-      for (const auto& rows : nw.local_rows) {
-        os << "rows " << rows.size();
-        for (const data::RowId row : rows) os << " " << row;
+      os << "node " << nw.node_id << " " << nw.members() << "\n";
+      for (int m = 0; m < nw.members(); ++m) {
+        os << "rows " << nw.member_records(m);
+        for (const data::RowId row : nw.member_rows(m)) os << " " << row;
         os << "\n";
       }
     }
@@ -189,16 +189,18 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
           !(in >> nmembers) || nmembers != nranks) {
         return "state: bad node header";
       }
-      nw.local_rows.resize(nmembers);
-      for (auto& rows : nw.local_rows) {
+      nw.offsets.assign(1, 0);
+      for (std::size_t m = 0; m < nmembers; ++m) {
         std::size_t count = 0;
         if (!expect_key(in, "rows") || !(in >> count)) {
           return "state: bad row count";
         }
-        rows.resize(count);
-        for (data::RowId& row : rows) {
-          if (!(in >> row)) return "state: bad row id";
+        const std::size_t begin = nw.rows.size();
+        nw.rows.resize(begin + count);
+        for (std::size_t i = begin; i < nw.rows.size(); ++i) {
+          if (!(in >> nw.rows[i])) return "state: bad row id";
         }
+        nw.offsets.push_back(static_cast<std::uint32_t>(nw.rows.size()));
       }
     }
   }
@@ -516,7 +518,7 @@ void DurableCheckpointer::save(std::vector<CkptPart> parts,
     for (std::size_t m = 0; m < p.ranks.size(); ++m) {
       for (const NodeWork& nw : p.frontier) {
         owned[static_cast<std::size_t>(p.ranks[m])] +=
-            static_cast<std::int64_t>(nw.local_rows[m].size());
+            nw.member_records(static_cast<int>(m));
       }
     }
   }
@@ -656,7 +658,7 @@ bool resume_from_checkpoint(ParContext& ctx, const std::string& formulation,
     for (std::size_t m = 0; m < p.ranks.size(); ++m) {
       std::int64_t n = 0;
       for (const NodeWork& nw : p.frontier) {
-        n += static_cast<std::int64_t>(nw.local_rows[m].size());
+        n += nw.member_records(static_cast<int>(m));
       }
       if (n == 0) continue;
       records += n;

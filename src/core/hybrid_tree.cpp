@@ -80,29 +80,18 @@ std::pair<HPartition, HPartition> split_partition(ParContext& ctx,
     const obs::PhaseScope move_phase(ctx.profiler(), "record-shuffle");
     for (std::size_t j = 0; j < part.frontier.size(); ++j) {
       NodeWork& nw = part.frontier[j];
-      NodeWork out;
-      out.node_id = nw.node_id;
-      out.local_rows.resize(static_cast<std::size_t>(h));
       const bool to_a = side[j] == 0;
       for (int m = 0; m < p; ++m) {
-        auto& rows = nw.local_rows[static_cast<std::size_t>(m)];
-        if (rows.empty()) continue;
-        const bool stays = to_a == (m < h);
-        if (!stays) {
-          words_out[static_cast<std::size_t>(m)] +=
-              static_cast<double>(rows.size()) * ctx.record_words();
-          ctx.records_moved += static_cast<std::int64_t>(rows.size());
-          // The row crosses to its partner across the split dimension.
-          ctx.mem_records_move(part.group.rank(m),
-                               part.group.rank(to_a ? m - h : m + h),
-                               static_cast<std::int64_t>(rows.size()));
-        }
-        auto& dst = out.local_rows[static_cast<std::size_t>(m % h)];
-        dst.insert(dst.end(), rows.begin(), rows.end());
-        rows.clear();
-        rows.shrink_to_fit();
+        const std::int64_t rows = nw.member_records(m);
+        if (rows == 0 || to_a == (m < h)) continue;
+        words_out[static_cast<std::size_t>(m)] +=
+            static_cast<double>(rows) * ctx.record_words();
+        ctx.records_moved += rows;
+        // The row crosses to its partner across the split dimension.
+        ctx.mem_records_move(part.group.rank(m),
+                             part.group.rank(to_a ? m - h : m + h), rows);
       }
-      (to_a ? fa : fb).push_back(std::move(out));
+      (to_a ? fa : fb).push_back(fold_halves(nw, h));
     }
     part.group.pairwise_exchange(words_out);
   }
@@ -151,8 +140,7 @@ HPartition rejoin_split(ParContext& ctx, HPartition& busy, mpsim::Group idle,
       continue;
     }
     for (int i = 0; i < p; ++i) {
-      given[static_cast<std::size_t>(i)] +=
-          static_cast<std::int64_t>(nw.local_rows[static_cast<std::size_t>(i)].size());
+      given[static_cast<std::size_t>(i)] += nw.member_records(i);
     }
     give_frontier.push_back(std::move(nw));
   }
@@ -253,7 +241,8 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
       std::vector<CkptPart> parts;
       parts.reserve(active.size());
       for (const HPartition& p : active) {
-        parts.push_back(CkptPart{p.group.ranks(), p.acc_comm, p.frontier});
+        parts.push_back(
+            CkptPart{p.group.ranks(), p.acc_comm, without_cells(p.frontier)});
       }
       std::vector<std::vector<mpsim::Rank>> idle_ranks;
       idle_ranks.reserve(idle.size());

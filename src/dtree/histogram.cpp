@@ -10,15 +10,83 @@ namespace pdt::dtree {
 void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows) {
   assert(h.size() == static_cast<std::size_t>(layout.total()));
-  const std::int32_t* labels = mapper.dataset().labels().data();
-  const int c_num = layout.num_classes();
   // Attribute-major: one pass over the rows per attribute, so each pass
   // reads one column and updates one table.
   for (int a = 0; a < layout.num_attributes(); ++a) {
-    std::int64_t* table = h.data() + layout.offset(a);
-    mapper.for_each_slot(a, rows, [&](data::RowId row, int s) {
-      ++table[s * c_num + labels[row]];
-    });
+    accumulate_attr(
+        h.subspan(static_cast<std::size_t>(layout.offset(a)),
+                  static_cast<std::size_t>(layout.slots(a) *
+                                           layout.num_classes())),
+        layout, mapper, a, rows);
+  }
+}
+
+void accumulate_attr(std::span<std::int64_t> table, const AttrLayout& layout,
+                     const SlotMapper& mapper, int attr,
+                     std::span<const data::RowId> rows) {
+  const std::int32_t* labels = mapper.dataset().labels().data();
+  const int c_num = layout.num_classes();
+  std::int64_t* t = table.data();
+  mapper.for_each_slot(attr, rows, [&](data::RowId row, int s) {
+    ++t[s * c_num + labels[row]];
+  });
+}
+
+void accumulate_cells(std::span<std::int64_t> h, const AttrLayout& layout,
+                      std::span<const std::uint8_t> cells,
+                      std::vector<std::uint32_t>& scratch) {
+  assert(h.size() == static_cast<std::size_t>(layout.total()));
+  const std::vector<int>& attrs = layout.cell_attrs();
+  const std::size_t k_num = attrs.size();
+  if (k_num == 0 || cells.empty()) return;
+  assert(cells.size() % k_num == 0);
+  const std::size_t n = cells.size() / k_num;
+  const std::uint8_t* c = cells.data();
+
+  // Below a few dozen rows, zeroing and folding the sub-tables costs more
+  // than the counts they would speed up.
+  constexpr std::size_t kDirect = 32;
+  if (n < kDirect) {
+    for (std::size_t i = 0; i < n; ++i, c += k_num) {
+      for (std::size_t k = 0; k < k_num; ++k) {
+        ++h[static_cast<std::size_t>(layout.offset(attrs[k])) + c[k]];
+      }
+    }
+    return;
+  }
+
+  // scratch holds K + 1 sub-table bases, then the even and the odd
+  // sub-tables; sub-table k spans [b[k], b[k + 1]), attribute k's slots x C.
+  scratch.resize(k_num + 1);
+  scratch[0] = 0;
+  for (std::size_t k = 0; k < k_num; ++k) {
+    scratch[k + 1] = scratch[k] + static_cast<std::uint32_t>(
+                                      layout.slots(attrs[k]) *
+                                      layout.num_classes());
+  }
+  const std::size_t width = scratch[k_num];
+  scratch.resize(k_num + 1 + 2 * width);
+  std::fill(scratch.begin() + static_cast<std::ptrdiff_t>(k_num + 1),
+            scratch.end(), 0U);
+  const std::uint32_t* b = scratch.data();
+  std::uint32_t* even = scratch.data() + k_num + 1;
+  std::uint32_t* odd = even + width;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2, c += 2 * k_num) {
+    for (std::size_t k = 0; k < k_num; ++k) {
+      ++even[b[k] + c[k]];
+      ++odd[b[k] + c[k_num + k]];
+    }
+  }
+  if (i < n) {
+    for (std::size_t k = 0; k < k_num; ++k) ++even[b[k] + c[k]];
+  }
+  for (std::size_t k = 0; k < k_num; ++k) {
+    std::int64_t* table = h.data() + layout.offset(attrs[k]);
+    for (std::uint32_t j = b[k]; j < b[k + 1]; ++j) {
+      table[j - b[k]] += static_cast<std::int64_t>(even[j]) +
+                         static_cast<std::int64_t>(odd[j]);
+    }
   }
 }
 

@@ -23,6 +23,23 @@ using Hist = std::vector<std::int64_t>;
 void accumulate(std::span<std::int64_t> h, const AttrLayout& layout,
                 const SlotMapper& mapper, std::span<const data::RowId> rows);
 
+/// Add attribute `attr` of `rows` into its own table `table` (length
+/// layout.slots(attr) * C), gathering slot and label through each RowId.
+void accumulate_attr(std::span<std::int64_t> table, const AttrLayout& layout,
+                     const SlotMapper& mapper, int attr,
+                     std::span<const data::RowId> rows);
+
+/// Add row-major byte cells into the flat histogram `h` (length
+/// layout.total()): `cells` holds K = layout.cell_attrs().size() bytes per
+/// row, byte k being slot * C + label of attribute cell_attrs()[k]. The
+/// stream is counted into two sets of uint32 sub-tables (even and odd
+/// rows, so equal neighbours do not serialize on one counter) kept in
+/// `scratch`, then folded into `h`; the counts are exact. Tables of
+/// attributes without cells are left alone.
+void accumulate_cells(std::span<std::int64_t> h, const AttrLayout& layout,
+                      std::span<const std::uint8_t> cells,
+                      std::vector<std::uint32_t>& scratch);
+
 /// Per-class totals recovered from a flat histogram (sums attribute 0's
 /// table; every attribute's table has the same class marginals).
 [[nodiscard]] std::vector<std::int64_t> class_counts(

@@ -20,6 +20,9 @@ AttrLayout::AttrLayout(const data::Schema& schema, int cont_bins)
     assert(s >= 1);
     slots_.push_back(s);
     offsets_.push_back(static_cast<int>(off));
+    const bool cell = std::int64_t{s} * num_classes_ <= 256;
+    cell_of_.push_back(cell ? static_cast<int>(cell_attrs_.size()) : -1);
+    if (cell) cell_attrs_.push_back(a);
     off += std::int64_t{s} * num_classes_;
     if (off > std::numeric_limits<int>::max()) {
       throw std::invalid_argument(

@@ -21,11 +21,7 @@ data::Dataset quest_binned(std::size_t n, std::uint64_t seed) {
 /// All row ids present across a frontier (for conservation checks).
 std::multiset<data::RowId> frontier_rows(const std::vector<NodeWork>& f) {
   std::multiset<data::RowId> rows;
-  for (const NodeWork& nw : f) {
-    for (const auto& lr : nw.local_rows) {
-      rows.insert(lr.begin(), lr.end());
-    }
-  }
+  for (const NodeWork& nw : f) rows.insert(nw.rows.begin(), nw.rows.end());
   return rows;
 }
 
@@ -57,7 +53,7 @@ TEST(ParContext, InitialRootDistributesAllRows) {
   const NodeWork root = ctx.initial_root(g);
   EXPECT_EQ(root.node_id, 0);
   EXPECT_EQ(root.total_records(), 1000);
-  ASSERT_EQ(root.local_rows.size(), 8u);
+  ASSERT_EQ(root.members(), 8);
   for (int i = 0; i < 8; ++i) {
     EXPECT_EQ(root.member_records(i), 125);
   }
@@ -192,11 +188,8 @@ TEST(ExpandLevel, MaxDepthFiltersNodes) {
 }
 
 TEST(FrontierHelpers, RecordCounts) {
-  NodeWork a;
-  a.local_rows = {{1, 2, 3}, {4}};
-  NodeWork b;
-  b.local_rows = {{}, {5, 6}};
-  const std::vector<NodeWork> f{a, b};
+  const std::vector<NodeWork> f{node_from_lists(1, {{1, 2, 3}, {4}}),
+                                node_from_lists(2, {{}, {5, 6}})};
   EXPECT_EQ(frontier_records(f), 6);
   EXPECT_EQ(frontier_member_records(f, 0), 3);
   EXPECT_EQ(frontier_member_records(f, 1), 3);

@@ -79,10 +79,7 @@ RunSnapshot sample_snapshot() {
   CkptPart part;
   part.ranks = {0, 1};
   part.acc_comm = 12.5;
-  NodeWork nw;
-  nw.node_id = 0;
-  nw.local_rows = {{0, 2, 4}, {1, 3}};
-  part.frontier.push_back(nw);
+  part.frontier.push_back(node_from_lists(0, {{0, 2, 4}, {1, 3}}));
   snap.parts.push_back(part);
   snap.idle.push_back({1});
   snap.mem.resize(2);
@@ -121,8 +118,9 @@ TEST(Ckpt, TextRoundTripsExactly) {
   EXPECT_EQ(back.parts[0].acc_comm, snap.parts[0].acc_comm);
   ASSERT_EQ(back.parts[0].frontier.size(), 1u);
   EXPECT_EQ(back.parts[0].frontier[0].node_id, 0);
-  EXPECT_EQ(back.parts[0].frontier[0].local_rows,
-            snap.parts[0].frontier[0].local_rows);
+  EXPECT_EQ(back.parts[0].frontier[0].rows, snap.parts[0].frontier[0].rows);
+  EXPECT_EQ(back.parts[0].frontier[0].offsets,
+            snap.parts[0].frontier[0].offsets);
   EXPECT_EQ(back.idle, snap.idle);
   ASSERT_EQ(back.mem.size(), 2u);
   EXPECT_EQ(back.mem[0].live_total, 640);

@@ -82,7 +82,7 @@ TEST(Recovery, DirectRestoreShrinksGroupAndConservesRows) {
   // The group shrank to the survivors and the frontier re-indexed to it.
   EXPECT_EQ(g.ranks(), (std::vector<mpsim::Rank>{0, 1, 3}));
   ASSERT_EQ(frontier.size(), 1u);
-  ASSERT_EQ(frontier[0].local_rows.size(), 3u);
+  ASSERT_EQ(frontier[0].members(), 3);
   EXPECT_EQ(frontier_records(frontier),
             static_cast<std::int64_t>(ds.num_rows()));
   // The redistribution left the survivors balanced to within one record.
