@@ -68,6 +68,38 @@ void BM_HistogramAccumulateRaw(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramAccumulateRaw)->Arg(1000)->Arg(10000)->Arg(50000);
 
+// The same binned rows as BM_HistogramAccumulate, streamed as the
+// row-major byte cells (slot * C + label) a frontier node stores.
+void BM_AccumulateCells(benchmark::State& state) {
+  const data::Dataset& ds = quest_binned();
+  const dtree::SlotMapper mapper(ds, 32);
+  const dtree::AttrLayout layout(ds.schema(), 32);
+  const std::vector<int>& attrs = layout.cell_attrs();
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<data::RowId> rows(n);
+  std::iota(rows.begin(), rows.end(), data::RowId{0});
+  std::vector<std::uint8_t> cells(n * attrs.size());
+  for (std::size_t k = 0; k < attrs.size(); ++k) {
+    std::size_t i = 0;
+    mapper.for_each_slot(attrs[k], rows, [&](data::RowId row, int s) {
+      cells[i++ * attrs.size() + k] = static_cast<std::uint8_t>(
+          s * layout.num_classes() + ds.label(row));
+    });
+  }
+  dtree::Hist h(static_cast<std::size_t>(layout.total()));
+  std::vector<std::uint32_t> scratch;
+  for (auto _ : state) {
+    std::fill(h.begin(), h.end(), 0);
+    dtree::accumulate_cells(h, layout, cells, scratch);
+    benchmark::DoNotOptimize(h.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0) *
+                          static_cast<std::int64_t>(attrs.size()));
+}
+BENCHMARK(BM_AccumulateCells)->Arg(1000)->Arg(10000)->Arg(50000);
+
 // Global equal-width binning of the six continuous Quest columns into the
 // paper's interval counts.
 void BM_DiscretizeUniform(benchmark::State& state) {

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 namespace pdt::data {
@@ -32,6 +33,10 @@ UniformBins::UniformBins(double lo, double hi, int bins)
 
 Dataset discretize_uniform(const Dataset& ds,
                            const std::vector<int>& bins_per_attr) {
+  // The bins span each column's range, and an empty column has none.
+  if (ds.num_rows() == 0) {
+    throw std::invalid_argument("cannot discretize an empty dataset");
+  }
   const Schema& in = ds.schema();
   assert(static_cast<int>(bins_per_attr.size()) == in.num_attributes());
 

@@ -78,7 +78,8 @@ class UniformBins {
 
 /// Replace every continuous attribute with an ordered categorical attribute
 /// of `bins_per_attr[a]` equal-width bins computed from the column's range.
-/// Entries for categorical attributes are ignored (use 0).
+/// Entries for categorical attributes are ignored (use 0). Throws
+/// std::invalid_argument on an empty dataset.
 [[nodiscard]] Dataset discretize_uniform(const Dataset& ds,
                                          const std::vector<int>& bins_per_attr);
 

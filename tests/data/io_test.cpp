@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/runner.hpp"
+#include "data/discretize.hpp"
 #include "data/golf.hpp"
 #include "data/quest.hpp"
 #include "dtree/builder.hpp"
@@ -161,6 +162,20 @@ TEST(Csv, HeaderOnlyInputLoadsButCannotBeBuilt) {
             "cannot build a tree from an empty dataset");
   EXPECT_THROW((void)dtree::grow_bfs(ds, dtree::GrowOptions{}),
                std::invalid_argument);
+}
+
+TEST(Csv, HeaderOnlyInputCannotBeDiscretized) {
+  // The bins span each column's range; without rows there is none. This
+  // must throw in every build type, not fail an assert or read past an
+  // empty column.
+  std::stringstream in("x:cont,c:cat:3,class:cat:2\n");
+  const Dataset ds = load_csv(in);
+  try {
+    (void)discretize_uniform(ds, {4, 0});
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "cannot discretize an empty dataset");
+  }
 }
 
 TEST(Csv, FileRoundTrip) {

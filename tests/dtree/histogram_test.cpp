@@ -140,6 +140,65 @@ TEST(Histogram, AccumulateIsAdditive) {
   EXPECT_EQ(whole, parts);
 }
 
+/// Row-major cells of `rows` (cell attributes only), as the parallel
+/// formulations store them.
+std::vector<std::uint8_t> cells_of(const AttrLayout& layout,
+                                   const SlotMapper& mapper,
+                                   std::span<const data::RowId> rows) {
+  const std::vector<int>& attrs = layout.cell_attrs();
+  std::vector<std::uint8_t> cells(rows.size() * attrs.size());
+  const auto& labels = mapper.dataset().labels();
+  for (std::size_t k = 0; k < attrs.size(); ++k) {
+    std::size_t i = 0;
+    mapper.for_each_slot(attrs[k], rows, [&](data::RowId row, int s) {
+      cells[i++ * attrs.size() + k] = static_cast<std::uint8_t>(
+          s * layout.num_classes() + labels[row]);
+    });
+  }
+  return cells;
+}
+
+TEST(Histogram, CellsMatchGatherForEveryRunLength) {
+  // cont_bins 200 gives the continuous attributes 400 cells, past a
+  // byte: their tables stay untouched, the categorical ones match.
+  const data::Dataset ds = data::quest_generate(3001, {.seed = 15});
+  for (const int bins : {32, 200}) {
+    const SlotMapper mapper(ds, bins);
+    const AttrLayout layout(ds.schema(), bins);
+    ASSERT_FALSE(layout.cell_attrs().empty());
+    const auto rows = all_rows(ds);
+    std::vector<std::uint32_t> scratch;
+    // Below, at and above the direct-count cutoff, odd and even lengths.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{31},
+                                std::size_t{32}, std::size_t{33},
+                                std::size_t{1000}, rows.size()}) {
+      const std::span<const data::RowId> part(rows.data(), n);
+      Hist want(static_cast<std::size_t>(layout.total()), 0);
+      for (const int a : layout.cell_attrs()) {
+        accumulate_attr(
+            std::span<std::int64_t>(want).subspan(
+                static_cast<std::size_t>(layout.offset(a)),
+                static_cast<std::size_t>(layout.slots(a) * 2)),
+            layout, mapper, a, part);
+      }
+      Hist got(static_cast<std::size_t>(layout.total()), 0);
+      accumulate_cells(got, layout, cells_of(layout, mapper, part), scratch);
+      EXPECT_EQ(got, want) << n << " rows, " << bins << " bins";
+    }
+  }
+}
+
+TEST(Histogram, CellAttributesFitAByte) {
+  const data::Dataset ds = data::quest_generate(100, {.seed = 16});
+  // slots x C: continuous 128 x 2 = 256 fits, 129 x 2 does not; the
+  // categorical attributes (5, 20, 9 values) always fit.
+  EXPECT_EQ(AttrLayout(ds.schema(), 128).cell_attrs().size(), 9u);
+  const AttrLayout wide(ds.schema(), 129);
+  EXPECT_EQ(wide.cell_attrs(), (std::vector<int>{3, 4, 5}));
+  EXPECT_EQ(wide.cell_of(0), -1);
+  EXPECT_EQ(wide.cell_of(4), 1);
+}
+
 TEST(Histogram, EmptyRowsLeaveZeros) {
   const data::Dataset ds = data::golf_dataset();
   const SlotMapper mapper(ds, 4);
