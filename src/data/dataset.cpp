@@ -1,6 +1,6 @@
 #include "data/dataset.hpp"
 
-#include <algorithm>
+#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -68,8 +68,16 @@ void Dataset::reject_non_finite(int attr, std::size_t row,
 std::pair<double, double> Dataset::cont_range(int attr) const {
   const auto& col = cont_column(attr);
   assert(!col.empty());
-  const auto [lo, hi] = std::minmax_element(col.begin(), col.end());
-  return {*lo, *hi};
+  // One plain pass with std::minmax_element's tie rule (the first
+  // minimum, the last maximum), so a column holding both 0.0 and -0.0
+  // gives the same bits as minmax_element.
+  double lo = col.front();
+  double hi = col.front();
+  for (const double v : col) {
+    if (v < lo) lo = v;
+    if (!(v < hi)) hi = v;
+  }
+  return {lo, hi};
 }
 
 }  // namespace pdt::data

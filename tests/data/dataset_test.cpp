@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace pdt::data {
 namespace {
@@ -93,6 +95,29 @@ TEST(Dataset, ContRange) {
   const auto [lo, hi] = ds.cont_range(1);
   EXPECT_DOUBLE_EQ(lo, -2.0);
   EXPECT_DOUBLE_EQ(hi, 9.5);
+}
+
+TEST(Dataset, ContRangeKeepsTheSignedZeroesOfMinmaxElement) {
+  // 0.0 and -0.0 compare equal: the range is the first minimum and the
+  // last maximum, as std::minmax_element picks them.
+  for (const std::vector<double>& col :
+       {std::vector<double>{0.0, -0.0}, std::vector<double>{-0.0, 0.0},
+        std::vector<double>{0.0, -0.0, 0.0, -0.0},
+        std::vector<double>{-0.0, 0.0, -0.0}}) {
+    Dataset ds(tiny_schema(), col.size());
+    for (const double v : col) {
+      const std::size_t r = ds.add_row(0);
+      ds.set_cat(0, r, 0);
+      ds.set_cont(1, r, v);
+      ds.set_cat(2, r, 0);
+    }
+    const auto [lo, hi] = ds.cont_range(1);
+    const auto [want_lo, want_hi] = std::minmax_element(col.begin(), col.end());
+    EXPECT_EQ(std::signbit(lo), std::signbit(*want_lo));
+    EXPECT_EQ(std::signbit(hi), std::signbit(*want_hi));
+    EXPECT_EQ(std::signbit(lo), std::signbit(col.front()));
+    EXPECT_EQ(std::signbit(hi), std::signbit(col.back()));
+  }
 }
 
 /// The std::invalid_argument message `f` throws ("" if it does not).
