@@ -66,84 +66,6 @@ dtree::SplitDecision choose_split_exact(std::span<const std::int64_t> hist,
   return tracker.take();
 }
 
-/// Host half of Section 3.1 step 2 for work[c0, c1): fill each node's
-/// table in `hist`, summed over the members (arithmetically identical to
-/// reducing per-member local histograms). A node streams its byte cells;
-/// attributes without cells, and nodes that have none yet, gather through
-/// their rows. Nodes whose parent has an entry in ctx.parent_tables go
-/// last, grouped by parent with the largest last, so the largest sibling
-/// in reach is the one derived.
-void fill_chunk_tables(ParContext& ctx, const std::vector<NodeWork*>& work,
-                       std::size_t c0, std::size_t c1, dtree::Hist& hist) {
-  const dtree::AttrLayout& layout = ctx.layout();
-  const auto entries = static_cast<std::size_t>(layout.total());
-  const auto table = [&](std::size_t i) {
-    return std::span<std::int64_t>(hist).subspan((i - c0) * entries, entries);
-  };
-  std::vector<std::uint32_t> scratch;
-  const auto accumulate_node = [&](std::size_t i) {
-    const NodeWork& nw = *work[i];
-    if (nw.has_cells()) {
-      dtree::accumulate_cells(table(i), layout, nw.cells, scratch);
-    }
-    for (int a = 0; a < layout.num_attributes(); ++a) {
-      if (nw.has_cells() && layout.cell_of(a) >= 0) continue;
-      dtree::accumulate_attr(
-          table(i).subspan(static_cast<std::size_t>(layout.offset(a)),
-                           static_cast<std::size_t>(layout.slots(a) *
-                                                    layout.num_classes())),
-          layout, ctx.mapper(), a, nw.rows);
-    }
-  };
-
-  struct Cached {
-    int parent;
-    std::int64_t records;
-    std::size_t i;
-  };
-  std::vector<Cached> cached;
-  for (std::size_t i = c0; i < c1; ++i) {
-    const int parent = ctx.tree().node(work[i]->node_id).parent;
-    if (ctx.parent_tables.pending(parent) > 0) {
-      cached.push_back({parent, work[i]->total_records(), i});
-    } else {
-      accumulate_node(i);
-    }
-  }
-  std::stable_sort(cached.begin(), cached.end(),
-                   [](const Cached& a, const Cached& b) {
-                     if (a.parent != b.parent) return a.parent < b.parent;
-                     return a.records < b.records;
-                   });
-  for (const Cached& c : cached) {
-    if (ctx.parent_tables.pending(c.parent) > 1) {
-      accumulate_node(c.i);
-      ctx.parent_tables.subtract(c.parent, table(c.i));
-    } else {
-      ctx.parent_tables.derive(c.parent, table(c.i));
-      ++ctx.derived_histograms;
-    }
-  }
-}
-
-/// Byte cells of `rows`, row-major, gathered one attribute at a time
-/// through the slot columns.
-std::vector<std::uint8_t> gather_cells(const ParContext& ctx,
-                                       std::span<const data::RowId> rows) {
-  const dtree::AttrLayout& layout = ctx.layout();
-  const std::vector<int>& attrs = layout.cell_attrs();
-  const std::int32_t* labels = ctx.dataset().labels().data();
-  std::vector<std::uint8_t> cells(rows.size() * attrs.size());
-  for (std::size_t k = 0; k < attrs.size(); ++k) {
-    std::uint8_t* out = cells.data() + k;
-    ctx.mapper().for_each_slot(attrs[k], rows, [&](data::RowId row, int s) {
-      *out = static_cast<std::uint8_t>(s * layout.num_classes() + labels[row]);
-      out += attrs.size();
-    });
-  }
-  return cells;
-}
-
 /// Scatter rows and their K cells (K = k_num when the template K is 0)
 /// to the ends of their children's arrays, in parent order. A fixed K
 /// lets the cell copy compile to a few moves instead of a memcpy call.
@@ -182,9 +104,6 @@ std::vector<NodeWork> partition_rows(const ParContext& ctx, NodeWork& parent,
   const std::size_t k_num = layout.cell_attrs().size();
   const int c_num = layout.num_classes();
   const int members = parent.members();
-  // A node rebuilt from a checkpoint has no cells: gather them first, so
-  // its children get theirs from the scatter below.
-  if (!parent.has_cells()) parent.cells = gather_cells(ctx, parent.rows);
 
   std::vector<D> dest(n);
   const int split_cell = layout.cell_of(test.attr);
@@ -273,6 +192,82 @@ std::vector<NodeWork> partition_rows(const ParContext& ctx, NodeWork& parent,
 
 }  // namespace
 
+void fill_tables(ParContext& ctx, std::span<NodeWork* const> nodes,
+                 dtree::Hist& hist) {
+  const dtree::AttrLayout& layout = ctx.layout();
+  const auto entries = static_cast<std::size_t>(layout.total());
+  hist.assign(nodes.size() * entries, 0);
+  const auto table = [&](std::size_t i) {
+    return std::span<std::int64_t>(hist).subspan(i * entries, entries);
+  };
+  std::vector<std::uint32_t> scratch;
+  const auto accumulate_node = [&](std::size_t i) {
+    const NodeWork& nw = *nodes[i];
+    assert(nw.cells.size() == nw.rows.size() * layout.cell_attrs().size());
+    dtree::accumulate_cells(table(i), layout, nw.cells, scratch);
+    for (int a = 0; a < layout.num_attributes(); ++a) {
+      if (layout.cell_of(a) >= 0) continue;
+      dtree::accumulate_attr(
+          table(i).subspan(static_cast<std::size_t>(layout.offset(a)),
+                           static_cast<std::size_t>(layout.slots(a) *
+                                                    layout.num_classes())),
+          layout, ctx.mapper(), a, nw.rows);
+    }
+  };
+
+  struct Cached {
+    int parent;
+    std::int64_t records;
+    std::size_t i;
+  };
+  std::vector<Cached> cached;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const int parent = ctx.tree().node(nodes[i]->node_id).parent;
+    if (ctx.parent_tables.pending(parent) > 0) {
+      cached.push_back({parent, nodes[i]->total_records(), i});
+    } else {
+      accumulate_node(i);
+    }
+  }
+  std::stable_sort(cached.begin(), cached.end(),
+                   [](const Cached& a, const Cached& b) {
+                     if (a.parent != b.parent) return a.parent < b.parent;
+                     return a.records < b.records;
+                   });
+  for (const Cached& c : cached) {
+    if (ctx.parent_tables.pending(c.parent) > 1) {
+      accumulate_node(c.i);
+      ctx.parent_tables.subtract(c.parent, table(c.i));
+    } else {
+      ctx.parent_tables.derive(c.parent, table(c.i));
+      ++ctx.derived_histograms;
+    }
+  }
+}
+
+void split_rows(ParContext& ctx, NodeWork& nw, const dtree::SplitTest& test,
+                int first, std::span<const std::int64_t> table,
+                std::vector<NodeWork>& next) {
+  std::vector<NodeWork> children =
+      test.num_children <= 256
+          ? partition_rows<std::uint8_t>(ctx, nw, test)
+          : partition_rows<std::uint32_t>(ctx, nw, test);
+  int pending = 0;
+  for (int k = 0; k < test.num_children; ++k) {
+    NodeWork& ch = children[static_cast<std::size_t>(k)];
+    if (ch.total_records() > 0) {
+      ch.node_id = first + k;
+      next.push_back(std::move(ch));
+      ++pending;
+    }
+  }
+  // Keep the reduced table for sibling subtraction, unless the children
+  // sit at the depth limit and are never histogrammed.
+  if (ctx.tree().node(first).depth < ctx.options().grow.max_depth) {
+    ctx.parent_tables.keep(nw.node_id, table, pending);
+  }
+}
+
 void ParentTables::keep(int id, std::span<const std::int64_t> table,
                         int pending) {
   if (free_.empty()) {
@@ -320,31 +315,6 @@ void NodeWork::release() {
   std::vector<data::RowId>().swap(rows);
   std::vector<std::uint8_t>().swap(cells);
   std::fill(offsets.begin(), offsets.end(), 0U);
-}
-
-std::vector<NodeWork> without_cells(const std::vector<NodeWork>& frontier) {
-  std::vector<NodeWork> out;
-  out.reserve(frontier.size());
-  for (const NodeWork& nw : frontier) {
-    out.push_back(NodeWork{nw.node_id, nw.rows, nw.offsets, {}});
-  }
-  return out;
-}
-
-NodeWork node_from_lists(int node_id,
-                         const std::vector<std::vector<data::RowId>>& lists) {
-  NodeWork nw;
-  nw.node_id = node_id;
-  nw.offsets.reserve(lists.size() + 1);
-  nw.offsets.push_back(0);
-  std::size_t total = 0;
-  for (const auto& l : lists) total += l.size();
-  nw.rows.reserve(total);
-  for (const auto& l : lists) {
-    nw.rows.insert(nw.rows.end(), l.begin(), l.end());
-    nw.offsets.push_back(static_cast<std::uint32_t>(nw.rows.size()));
-  }
-  return nw;
 }
 
 NodeWork regroup(const NodeWork& nw, const MemberPieces& pieces) {
@@ -451,14 +421,14 @@ ParContext::ParContext(const data::Dataset& ds, const ParOptions& opt,
       machine_(&machine),
       mapper_(ds, opt.grow.cont_bins),
       layout_(ds.schema(), opt.grow.cont_bins),
-      tree_(dtree::class_counts_of_rows(
-          ds, [&] {
-            std::vector<data::RowId> rows(ds.num_rows());
-            for (std::size_t i = 0; i < rows.size(); ++i) {
-              rows[i] = static_cast<data::RowId>(i);
-            }
-            return rows;
-          }())) {
+      tree_([&] {
+        std::vector<std::int64_t> counts(
+            static_cast<std::size_t>(ds.schema().num_classes()), 0);
+        for (const std::int32_t label : ds.labels()) {
+          ++counts[static_cast<std::size_t>(label)];
+        }
+        return counts;
+      }()) {
   double words = 1.0;  // label
   for (int a = 0; a < ds.num_attributes(); ++a) {
     words += ds.schema().attr(a).is_continuous() ? 2.0 : 1.0;
@@ -535,10 +505,26 @@ void ParContext::publish_summary_gauges() {
   reg.gauge("histogram_words_total").set(histogram_words);
 }
 
-NodeWork ParContext::initial_root(const mpsim::Group& g) {
-  NodeWork root = node_from_lists(
-      tree_.root(),
-      data::partition_random(ds_->num_rows(), g.size(), opt_->seed));
+std::vector<std::uint8_t> ParContext::cells_of(
+    std::span<const data::RowId> rows) const {
+  const std::vector<int>& attrs = layout_.cell_attrs();
+  const std::int32_t* labels = ds_->labels().data();
+  std::vector<std::uint8_t> cells(rows.size() * attrs.size());
+  for (std::size_t k = 0; k < attrs.size(); ++k) {
+    std::uint8_t* out = cells.data() + k;
+    mapper_.for_each_slot(attrs[k], rows, [&](data::RowId row, int s) {
+      *out = static_cast<std::uint8_t>(s * layout_.num_classes() + labels[row]);
+      out += attrs.size();
+    });
+  }
+  return cells;
+}
+
+NodeWork ParContext::root_node(int members) const {
+  data::RowDeal deal =
+      data::partition_random(ds_->num_rows(), members, opt_->seed);
+  NodeWork root{tree_.root(), std::move(deal.rows), std::move(deal.offsets),
+                {}};
   // The root holds every row, so its cells are first built in row-id
   // order, one streaming pass per attribute, then copied into the root's
   // random order: one random read per row instead of one per attribute.
@@ -546,7 +532,7 @@ NodeWork ParContext::initial_root(const mpsim::Group& g) {
   if (k_num > 0) {
     std::vector<data::RowId> ids(root.rows.size());
     std::iota(ids.begin(), ids.end(), data::RowId{0});
-    const std::vector<std::uint8_t> by_row = gather_cells(*this, ids);
+    const std::vector<std::uint8_t> by_row = cells_of(ids);
     ids = {};
     root.cells.resize(by_row.size());
     for (std::size_t i = 0; i < root.rows.size(); ++i) {
@@ -554,6 +540,11 @@ NodeWork ParContext::initial_root(const mpsim::Group& g) {
                   k_num);
     }
   }
+  return root;
+}
+
+NodeWork ParContext::initial_root(const mpsim::Group& g) {
+  NodeWork root = root_node(g.size());
   // The initial N/P distribution enters the ranks' local stores.
   for (int m = 0; m < g.size(); ++m) {
     mem_records_alloc(g.rank(m), root.member_records(m));
@@ -655,18 +646,21 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
   }
 #endif
 
-  // Nodes at the depth limit stay leaves and are not even histogrammed;
-  // their rows leave the distributed store here.
+  // A node that closes leaves the distributed store with its rows.
+  const auto close = [&](NodeWork& nw) {
+    for (int m = 0; m < p; ++m) {
+      ctx.mem_records_free(g.rank(m), nw.member_records(m));
+    }
+    nw.release();
+  };
+  // Nodes at the depth limit close without even being histogrammed.
   std::vector<NodeWork*> work;
   work.reserve(frontier.size());
   for (NodeWork& nw : frontier) {
     if (tree.node(nw.node_id).depth < grow.max_depth) {
       work.push_back(&nw);
     } else {
-      for (int m = 0; m < p; ++m) {
-        ctx.mem_records_free(g.rank(m), nw.member_records(m));
-      }
-      nw.release();
+      close(nw);
     }
   }
 
@@ -695,7 +689,6 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
     const std::size_t c1 =
         std::min(work.size(), c0 + static_cast<std::size_t>(buffer_nodes));
     const std::size_t chunk_nodes = c1 - c0;
-    hist.assign(chunk_nodes * static_cast<std::size_t>(entries), 0);
     const std::int64_t chunk_table_bytes =
         layout.table_bytes(static_cast<std::int64_t>(chunk_nodes));
 
@@ -708,7 +701,7 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         machine.alloc_bytes(g.rank(m), mpsim::MemTag::Histogram,
                             chunk_table_bytes);
       }
-      fill_chunk_tables(ctx, work, c0, c1, hist);
+      fill_tables(ctx, std::span(work).subspan(c0, chunk_nodes), hist);
       // Local histogram construction: each member is charged for its own
       // share of the update work, derived table or not (this is where
       // load imbalance surfaces as idle time at the following collective).
@@ -826,11 +819,7 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
               : dtree::choose_split(node_hist, layout,
                                     ctx.dataset().schema(), mapper, grow);
       if (d.test.is_leaf()) {
-        // The node closes: its rows leave the distributed store.
-        for (int m = 0; m < p; ++m) {
-          ctx.mem_records_free(g.rank(m), work[i]->member_records(m));
-        }
-        work[i]->release();
+        close(*work[i]);
         continue;
       }
       const int first = tree.expand(work[i]->node_id, d);
@@ -849,24 +838,7 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
           machine.charge_compute(g.rank(m), static_cast<double>(rows));
         }
       }
-      std::vector<NodeWork> children =
-          d.test.num_children <= 256
-              ? partition_rows<std::uint8_t>(ctx, *work[i], d.test)
-              : partition_rows<std::uint32_t>(ctx, *work[i], d.test);
-      int pending = 0;
-      for (int k = 0; k < d.test.num_children; ++k) {
-        auto& ch = children[static_cast<std::size_t>(k)];
-        if (ch.total_records() > 0) {
-          ch.node_id = first + k;
-          next.push_back(std::move(ch));
-          ++pending;
-        }
-      }
-      // Keep the reduced table for sibling subtraction, unless the
-      // children sit at the depth limit and are never histogrammed.
-      if (tree.node(first).depth < grow.max_depth) {
-        ctx.parent_tables.keep(work[i]->node_id, node_hist, pending);
-      }
+      split_rows(ctx, *work[i], d.test, first, node_hist, next);
     }
 
     // Chunk done: release its count tables before the next chunk is

@@ -34,10 +34,10 @@ struct NodeWork {
   /// members() + 1 ascending offsets into `rows`.
   std::vector<std::uint32_t> offsets;
   /// Byte cells, row-major: K = layout.cell_attrs().size() bytes per row,
-  /// in `rows` order, byte k = slot * C + label of cell attribute k. Empty
-  /// on a node rebuilt from a checkpoint (recovery, resume), which
-  /// gathers through its rows instead; partitioning any node writes its
-  /// children's cells.
+  /// in `rows` order, byte k = slot * C + label of cell attribute k. Every
+  /// node has them: the root and a resumed frontier gather them once
+  /// (ParContext::cells_of), and partitioning, regroup and the in-memory
+  /// checkpoint carry them along with the rows.
   std::vector<std::uint8_t> cells;
 
   [[nodiscard]] int members() const {
@@ -58,19 +58,10 @@ struct NodeWork {
     const RowRange r = member_range(m);
     return std::span<const data::RowId>(rows).subspan(r.begin, r.size());
   }
-  [[nodiscard]] bool has_cells() const { return !cells.empty(); }
   /// Free the rows and cells, leaving every member empty (the node
   /// closed, was split or was moved).
   void release();
 };
-
-/// Every node's rows and offsets, without cells (a checkpoint's copy).
-[[nodiscard]] std::vector<NodeWork> without_cells(
-    const std::vector<NodeWork>& frontier);
-
-/// A node whose member m holds lists[m], in order.
-[[nodiscard]] NodeWork node_from_lists(
-    int node_id, const std::vector<std::vector<data::RowId>>& lists);
 
 /// A new layout of a node's rows: member m holds pieces[m], in order.
 using MemberPieces = std::vector<std::vector<RowRange>>;
@@ -213,16 +204,20 @@ class ParContext {
     return mem_predicted_;
   }
 
-  /// The initial frontier: the root node with rows randomly distributed
-  /// over the group's members (the paper's initial N/P distribution).
-  [[nodiscard]] NodeWork initial_root(const mpsim::Group& g);
+  /// Byte cells of `rows` (NodeWork::cells), gathered one attribute at a
+  /// time through the slot columns.
+  [[nodiscard]] std::vector<std::uint8_t> cells_of(
+      std::span<const data::RowId> rows) const;
 
-  /// Whether this run has a fault plan armed on the machine (recovery
-  /// wrappers fall through to the plain path when it does not, keeping
-  /// fault-free clocks bit-identical).
-  [[nodiscard]] bool fault_active() const {
-    return machine_->fault() != nullptr;
-  }
+  /// The root node with every row dealt at random over `members` members
+  /// (data::partition_random, seeded by options().seed), with its cells.
+  /// Books no memory.
+  [[nodiscard]] NodeWork root_node(int members) const;
+
+  /// The initial frontier: root_node over the group's members (the
+  /// paper's initial N/P distribution), its rows entered in each member's
+  /// Records account.
+  [[nodiscard]] NodeWork initial_root(const mpsim::Group& g);
 
   /// Fault-tolerance accounting (checkpoints written, failures absorbed),
   /// appended to by core/recovery.cpp and copied into ParResult.
@@ -262,6 +257,25 @@ class ParContext {
   obs::Histogram* frontier_nodes_ = nullptr;
   obs::Histogram* shuffle_records_ = nullptr;
 };
+
+/// Host half of Section 3.1 step 2, with no Machine, ledger or observer
+/// call: `hist` becomes one table per node of `nodes`, summed over the
+/// members (arithmetically identical to reducing per-member local
+/// histograms). Nodes stream their byte cells; attributes without cells
+/// gather through the rows. Nodes whose parent has an entry in
+/// ctx.parent_tables go last, grouped by parent with the largest last:
+/// each is subtracted from the entry, and the last one derived from it.
+void fill_tables(ParContext& ctx, std::span<NodeWork* const> nodes,
+                 dtree::Hist& hist);
+
+/// Host half of Section 3.1 step 5 for `nw`, already expanded in the tree
+/// by `test` into children first, first + 1, ...: partition its rows and
+/// cells (releasing `nw`), append the children that received rows to
+/// `next`, and keep `table`, its reduced histogram, in ctx.parent_tables
+/// for sibling subtraction unless the children sit at the depth limit.
+void split_rows(ParContext& ctx, NodeWork& nw, const dtree::SplitTest& test,
+                int first, std::span<const std::int64_t> table,
+                std::vector<NodeWork>& next);
 
 /// Expand every node of `frontier` by one level, synchronously within
 /// group `g` (Section 3.1): local histograms per member, all-reduce in

@@ -238,16 +238,14 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
 
   while (!active.empty()) {
     if (ckpt.enabled()) {
-      std::vector<CkptPart> parts;
-      parts.reserve(active.size());
+      std::vector<LivePart> parts;
       for (const HPartition& p : active) {
-        parts.push_back(
-            CkptPart{p.group.ranks(), p.acc_comm, without_cells(p.frontier)});
+        parts.push_back(LivePart{p.group.ranks(), p.acc_comm, p.frontier});
       }
       std::vector<std::vector<mpsim::Rank>> idle_ranks;
       idle_ranks.reserve(idle.size());
       for (const mpsim::Group& g : idle) idle_ranks.push_back(g.ranks());
-      ckpt.save(std::move(parts), std::move(idle_ranks));
+      ckpt.save(parts, std::move(idle_ranks));
     }
     // Asynchronous partitions: advance the one earliest in virtual time.
     std::size_t pick = 0;

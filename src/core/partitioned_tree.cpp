@@ -146,13 +146,11 @@ ParResult build_partitioned(const data::Dataset& ds, const ParOptions& opt) {
 
   while (!work.empty()) {
     if (ckpt.enabled()) {
-      std::vector<CkptPart> parts;
-      parts.reserve(work.size());
+      std::vector<LivePart> parts;
       for (const Partition& p : work) {
-        parts.push_back(
-            CkptPart{p.group.ranks(), 0.0, without_cells(p.frontier)});
+        parts.push_back(LivePart{p.group.ranks(), 0.0, p.frontier});
       }
-      ckpt.save(std::move(parts));
+      ckpt.save(parts);
     }
     Partition part = std::move(work.back());
     work.pop_back();

@@ -49,7 +49,7 @@ LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
   LevelCheckpoint ck;
   ck.level = level;
   ck.tree = ctx.tree();
-  ck.frontier = without_cells(f);
+  ck.frontier = f;
   ck.ranks = g.ranks();
 
   mpsim::Time io_total = 0.0;

@@ -53,7 +53,7 @@ ParResult build_sync(const data::Dataset& ds, const ParOptions& opt) {
   }
   while (!frontier.empty()) {
     if (ckpt.enabled()) {
-      ckpt.save({CkptPart{all.ranks(), 0.0, without_cells(frontier)}});
+      ckpt.save({LivePart{all.ranks(), 0.0, frontier}});
     }
     ++ctx.levels;
     frontier = expand_level_ft(ctx, all, frontier);

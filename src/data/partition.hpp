@@ -2,8 +2,8 @@
 //
 // All parallel formulations assume "N training cases are randomly
 // distributed to P processors initially such that each processor has N/P
-// cases" (Section 3). Block distribution is provided for tests that need a
-// predictable layout.
+// cases" (Section 3). The deal comes back in the layout the formulations
+// store a tree node's rows in: one row array plus P + 1 offsets (CSR).
 #pragma once
 
 #include <cstdint>
@@ -15,18 +15,17 @@ namespace pdt::data {
 
 using RowId = std::uint32_t;
 
-/// rows[p] = global row ids owned by processor p.
-using RowPartition = std::vector<std::vector<RowId>>;
+/// Rows dealt over processors: processor p owns rows[offsets[p],
+/// offsets[p + 1]).
+struct RowDeal {
+  std::vector<RowId> rows;
+  std::vector<std::uint32_t> offsets;
+};
 
-/// Contiguous blocks: processor p owns rows [p*N/P, (p+1)*N/P).
-[[nodiscard]] RowPartition partition_block(std::size_t num_rows, int nprocs);
-
-/// Random (seeded) permutation dealt round-robin — the paper's random
-/// initial distribution. Every processor gets floor/ceil(N/P) rows.
-[[nodiscard]] RowPartition partition_random(std::size_t num_rows, int nprocs,
-                                            std::uint64_t seed);
-
-/// Total row count across a partition.
-[[nodiscard]] std::size_t partition_size(const RowPartition& part);
+/// Random (seeded) permutation dealt round-robin -- the paper's random
+/// initial distribution. Processor p gets permutation entries p, p + P,
+/// p + 2P, ... in that order, floor/ceil(N/P) rows in all.
+[[nodiscard]] RowDeal partition_random(std::size_t num_rows, int nprocs,
+                                       std::uint64_t seed);
 
 }  // namespace pdt::data

@@ -1,11 +1,11 @@
-// Byte cells of the flat row store. Every frontier node that carries cells
+// Byte cells of the flat row store. Every frontier node carries cells and
 // must hold slot * C + label of each of its rows, in row order, after
 // every step that builds or moves rows: the root, each level's partition,
 // the hybrid's moving phase, the partitioned formulation's shuffle, Eq. 4
-// balancing, fail-stop recovery and a resume from pdt-ckpt-v1. Nodes
-// rebuilt from a checkpoint have no cells; their children get them from
-// the gather path. Attributes whose slots x C pass 256 never get a cell,
-// and builds that mix both kinds must still grow the serial tree.
+// balancing, fail-stop recovery (the checkpoint keeps the cells) and a
+// resume from pdt-ckpt-v1 (which gathers them). Attributes whose slots x C
+// pass 256 never get a cell, and builds that mix both kinds must still
+// grow the serial tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,7 +85,7 @@ bool cells_match(const ParContext& ctx, const NodeWork& nw) {
 void expect_cells(const ParContext& ctx, const std::vector<NodeWork>& f,
                   const std::string& where) {
   for (const NodeWork& nw : f) {
-    EXPECT_TRUE(nw.has_cells()) << where << ": node " << nw.node_id;
+    EXPECT_FALSE(nw.cells.empty()) << where << ": node " << nw.node_id;
     EXPECT_TRUE(cells_match(ctx, nw)) << where << ": node " << nw.node_id;
   }
 }
@@ -146,7 +146,7 @@ TEST(ByteCells, HybridFoldKeepsMemberOrder) {
       want.insert(want.end(), partner.begin(), partner.end());
       EXPECT_EQ(rows_of(half, lm), want);
     }
-    EXPECT_TRUE(half.has_cells());
+    EXPECT_FALSE(half.cells.empty());
     EXPECT_TRUE(cells_match(ctx, half));
   }
 }
@@ -212,7 +212,7 @@ TEST(ByteCells, BalancePlanMovesCellsWithRows) {
   expect_cells(ctx, frontier, "after balance");
 }
 
-TEST(ByteCells, RecoveredNodesHaveNoneAndTheirChildrenDo) {
+TEST(ByteCells, RecoveredNodesKeepTheirCells) {
   const data::Dataset ds = quest_binned(2000, 25);
   mpsim::FaultPlan plan;
   plan.fail_stop(2, 2);
@@ -233,7 +233,9 @@ TEST(ByteCells, RecoveredNodesHaveNoneAndTheirChildrenDo) {
   }
   ASSERT_EQ(g.size(), 3);
   ASSERT_FALSE(frontier.empty());
-  for (const NodeWork& nw : frontier) EXPECT_FALSE(nw.has_cells());
+  // The checkpoint kept the cells, and regroup carried them to the
+  // survivors: they hold before the next level expands.
+  expect_cells(ctx, frontier, "recovered");
   while (!frontier.empty()) {
     frontier = expand_level(ctx, g, frontier);
     expect_cells(ctx, frontier, "after recovery");
@@ -242,7 +244,7 @@ TEST(ByteCells, RecoveredNodesHaveNoneAndTheirChildrenDo) {
             dtree::model_digest(dtree::grow_bfs(ds, opt.grow)));
 }
 
-TEST(ByteCells, ResumedNodesHaveNoneAndTheirChildrenDo) {
+TEST(ByteCells, ResumedNodesGatherTheirCells) {
   const data::Dataset ds = quest_binned(2000, 26);
   const fs::path dir = fs::path(::testing::TempDir()) / "byte_cells_resume";
   fs::remove_all(dir);
@@ -264,7 +266,8 @@ TEST(ByteCells, ResumedNodesHaveNoneAndTheirChildrenDo) {
   ASSERT_EQ(snap.parts.size(), 1u);
   std::vector<NodeWork> frontier = std::move(snap.parts.front().frontier);
   ASSERT_FALSE(frontier.empty());
-  for (const NodeWork& nw : frontier) EXPECT_FALSE(nw.has_cells());
+  // The file holds rows only; the resume gathered every node's cells.
+  expect_cells(ctx, frontier, "resumed");
   const mpsim::Group g = mpsim::Group::whole(machine);
   while (!frontier.empty()) {
     frontier = expand_level(ctx, g, frontier);

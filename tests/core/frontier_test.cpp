@@ -188,8 +188,8 @@ TEST(ExpandLevel, MaxDepthFiltersNodes) {
 }
 
 TEST(FrontierHelpers, RecordCounts) {
-  const std::vector<NodeWork> f{node_from_lists(1, {{1, 2, 3}, {4}}),
-                                node_from_lists(2, {{}, {5, 6}})};
+  const std::vector<NodeWork> f{NodeWork{1, {1, 2, 3, 4}, {0, 3, 4}, {}},
+                                NodeWork{2, {5, 6}, {0, 0, 2}, {}}};
   EXPECT_EQ(frontier_records(f), 6);
   EXPECT_EQ(frontier_member_records(f, 0), 3);
   EXPECT_EQ(frontier_member_records(f, 1), 3);

@@ -78,7 +78,12 @@ void expect_matches_naive(const data::Dataset& ds, int cont_bins) {
   const AttrLayout layout(ds.schema(), cont_bins);
   // Scattered, partial row sets: each processor's share of a random
   // distribution, plus every row.
-  data::RowPartition parts = data::partition_random(ds.num_rows(), 3, 17);
+  const data::RowDeal deal = data::partition_random(ds.num_rows(), 3, 17);
+  std::vector<std::vector<data::RowId>> parts;
+  for (std::size_t m = 0; m < 3; ++m) {
+    parts.emplace_back(deal.rows.begin() + deal.offsets[m],
+                       deal.rows.begin() + deal.offsets[m + 1]);
+  }
   parts.push_back(all_rows(ds));
   for (const auto& rows : parts) {
     Hist h(static_cast<std::size_t>(layout.total()), 0);

@@ -79,7 +79,7 @@ RunSnapshot sample_snapshot() {
   CkptPart part;
   part.ranks = {0, 1};
   part.acc_comm = 12.5;
-  part.frontier.push_back(node_from_lists(0, {{0, 2, 4}, {1, 3}}));
+  part.frontier.push_back(NodeWork{0, {0, 2, 4, 1, 3}, {0, 3, 5}, {}});
   snap.parts.push_back(part);
   snap.idle.push_back({1});
   snap.mem.resize(2);
@@ -179,7 +179,7 @@ TEST(CheckpointStore, SavePrunesToKeepAndLoadsNewest) {
   RunSnapshot snap = sample_snapshot();
   for (int e = 0; e < 4; ++e) {
     snap.epoch = e;
-    ASSERT_TRUE(store.save(snap));
+    ASSERT_TRUE(store.save(snap.epoch, ckpt_text(snap)));
   }
   EXPECT_FALSE(fs::exists(store.epoch_path(0)));
   EXPECT_FALSE(fs::exists(store.epoch_path(1)));
@@ -205,7 +205,7 @@ TEST(CheckpointStore, CorruptNewestEpochIsSkippedNotTrusted) {
   RunSnapshot snap = sample_snapshot();
   for (int e = 0; e < 3; ++e) {
     snap.epoch = e;
-    ASSERT_TRUE(store.save(snap));
+    ASSERT_TRUE(store.save(snap.epoch, ckpt_text(snap)));
   }
   // Flip one byte mid-file in the newest epoch, truncate the next one.
   std::string bytes = slurp(store.epoch_path(2));
@@ -233,7 +233,7 @@ TEST(CheckpointStore, EpochFieldMustAgreeWithFileName) {
   CheckpointStore store(dir.string(), /*keep=*/10);
   RunSnapshot snap = sample_snapshot();
   snap.epoch = 0;
-  ASSERT_TRUE(store.save(snap));
+  ASSERT_TRUE(store.save(snap.epoch, ckpt_text(snap)));
   // A valid epoch-0 file masquerading as epoch 5 (e.g. a bad manual
   // copy): internally consistent, but the store must not trust it.
   fs::copy_file(store.epoch_path(0), store.epoch_path(5));
@@ -250,7 +250,7 @@ TEST(CheckpointStore, ManifestIsAdvisoryOnly) {
   CheckpointStore store(dir.string(), /*keep=*/10);
   RunSnapshot snap = sample_snapshot();
   snap.epoch = 0;
-  ASSERT_TRUE(store.save(snap));
+  ASSERT_TRUE(store.save(snap.epoch, ckpt_text(snap)));
   // Point the manifest at an epoch that does not exist: the loader must
   // glob the real files and ignore the lie entirely.
   spit(dir / "MANIFEST",
