@@ -3,7 +3,8 @@
 // bit-identical to the uninterrupted run's (and to the serial tree) —
 // the DESIGN.md §13 acceptance criterion. Corrupt or truncated epochs
 // are skipped back, never trusted; incompatible checkpoints (different
-// formulation, P, seed) are a caller bug and throw.
+// formulation, P, seed, or rows the dataset lacks) are a caller bug and
+// throw.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -253,6 +254,35 @@ TEST(Resume, IncompatibleCheckpointIsACallerBugAndThrows) {
   wrong_seed.seed = 12345;
   EXPECT_THROW((void)build(Formulation::Sync, ds, wrong_seed),
                std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(Resume, RowsPastTheDatasetAreRejectedBeforeAnyRead) {
+  // The same schema with fewer rows: every compatibility check passes,
+  // but the checkpointed frontier names rows the dataset does not have.
+  // The resume must say so instead of reading past the columns.
+  const data::Dataset ds = workload();
+  const fs::path dir = scratch_dir("rows_past");
+  ParOptions opt;
+  opt.num_procs = 4;
+  opt.ckpt_dir = dir.string();
+  opt.ckpt_keep = 1000;
+  (void)build(Formulation::Sync, ds, opt);
+
+  const data::Dataset smaller = data::discretize_uniform(
+      data::quest_generate(1000, {.function = 2, .seed = 3}),
+      data::quest_paper_bins());
+  ParOptions ropt = opt;
+  ropt.resume = true;
+  ropt.resume_epoch = 1;
+  try {
+    (void)build(Formulation::Sync, smaller, ropt);
+    ADD_FAILURE() << "expected the resume to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("of a 1000-row dataset"),
+              std::string::npos)
+        << e.what();
+  }
   fs::remove_all(dir);
 }
 
