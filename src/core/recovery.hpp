@@ -21,7 +21,7 @@ namespace pdt::core {
 struct LevelCheckpoint {
   int level = -1;                       ///< tree depth about to be expanded
   dtree::Tree tree;                     ///< replicated tree at the cut
-  std::vector<NodeWork> frontier;       ///< row ownership at the cut
+  std::vector<NodeWork> frontier;       ///< rows and cells at the cut
   std::vector<mpsim::Rank> ranks;       ///< group members at the cut
   std::vector<mpsim::MemStats> mem;     ///< per-member byte accounts
   std::int64_t bytes = 0;               ///< record bytes written to store

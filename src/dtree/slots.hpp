@@ -20,14 +20,14 @@
 // byte: the attribute's *cell*. AttrLayout::cell_attrs() lists those
 // attributes; in the paper's configurations that is every attribute
 // (bins <= 20, `car` has 20 values, cont_bins 32, C = 2). The parallel
-// formulations store one cell per row and cell attribute next to each
-// frontier node's rows, in node order, and split them with the rows as
-// the node is partitioned -- SPRINT's per-node split of the attribute
-// lists (Section 3) applied to histogram cells. Accumulation then streams
-// a node's own cells (dtree::accumulate_cells) instead of gathering two
-// columns per update through a RowId. The gather over the slot columns
-// builds the root's cells, serves nodes that have none (those rebuilt
-// from a checkpoint) and every attribute whose slots x C pass 256.
+// formulations and baselines store one cell per row and cell attribute
+// next to every frontier node's rows, in node order, and split them with
+// the rows as the node is partitioned -- SPRINT's per-node split of the
+// attribute lists (Section 3) applied to histogram cells. Accumulation
+// then streams a node's own cells (dtree::accumulate_cells) instead of
+// gathering two columns per update through a RowId. The gather over the
+// slot columns builds the cells of the root and of a frontier loaded from
+// a checkpoint, and serves every attribute whose slots x C pass 256.
 //
 // The columns cost 1 byte x rows x continuous attributes for as long as a
 // build holds its mapper: 4.8 MB at 0.8M Quest rows. Binned data, where
