@@ -61,25 +61,6 @@ void Group::check_words(double words, const char* where) const {
 
 void Group::barrier() const { machine_->barrier_over(ranks_); }
 
-void Group::annotate(CollectiveKind kind, double words) const {
-  if (EventRecorder* rec = machine_->event_recorder()) {
-    rec->record_collective(to_string(kind), ranks_, words, dimension());
-  }
-}
-
-void Group::trace(EventKind kind, double words, const char* detail) const {
-  if (!machine_->trace().enabled()) return;
-  TraceEvent ev;
-  ev.time = horizon();
-  ev.kind = kind;
-  ev.rank = ranks_.front();
-  ev.group_base = ranks_.front();
-  ev.group_size = size();
-  ev.words = words;
-  ev.detail = detail;
-  machine_->trace().record(ev);
-}
-
 namespace {
 
 // Message staging held only for the duration of a collective. Words are
@@ -89,8 +70,95 @@ namespace {
   return std::llround(words * 4.0);
 }
 
+// How a collective names its barriers and its trace event. The three
+// whose members pay unequal costs end with a second barrier, where every
+// member waits for the busiest one.
+struct Protocol {
+  const char* barrier;
+  EventKind event;
+  const char* detail;
+  bool trailing_barrier;
+};
+
+[[nodiscard]] Protocol protocol(CollectiveKind kind) {
+  switch (kind) {
+    case CollectiveKind::AllReduce:
+      return {"all-reduce", EventKind::AllReduce, "all-reduce", false};
+    case CollectiveKind::Broadcast:
+      return {"broadcast", EventKind::Broadcast, "broadcast", false};
+    case CollectiveKind::PairwiseExchange:
+      return {"pairwise-exchange", EventKind::MovingPhase,
+              "pairwise exchange", true};
+    case CollectiveKind::Transfers:
+      return {"load-balance", EventKind::LoadBalance, "load balance", true};
+    case CollectiveKind::AllToAll:
+      return {"all-to-all", EventKind::PointToPoint,
+              "all-to-all personalized", true};
+  }
+  return {};
+}
+
+}  // namespace
+
+template <typename Charge>
+void Group::collective(CollectiveKind kind, double words,
+                       Charge&& charge) const {
+  const Protocol proto = protocol(kind);
+  // Name the collective in the event log, so replay analyzers can label
+  // the barrier that follows.
+  if (EventRecorder* rec = machine_->event_recorder()) {
+    rec->record_collective(to_string(kind), ranks_, words, dimension());
+  }
+  // Admission first: transient faults matching this member set burn their
+  // retry budget (backed-off idle, Retry events) before the collective
+  // proceeds; an exhausted budget escalates to RankFailure inside
+  // admit_collective.
+  const auto sync = [&] {
+    machine_->admit_collective(ranks_, proto.barrier);
+    machine_->barrier_over(ranks_, proto.barrier);
+  };
+  sync();
+  Machine::RetryAccrual retry = machine_->take_retry_accrual();
+  CommLedger* ledger = machine_->comm_ledger();
+  CollectiveEntry e;
+  e.kind = kind;
+  e.group_base = ranks_.front();
+  e.group_size = size();
+  e.words = words;
+  charge(e, ledger);
+  if (proto.trailing_barrier) {
+    sync();
+    const Machine::RetryAccrual trailing = machine_->take_retry_accrual();
+    retry.us += trailing.us;
+    retry.attempts += trailing.attempts;
+  }
+  // An empty transfer plan normally records nothing, but retry cost burned
+  // at its barriers must still land in the ledger.
+  const bool empty = kind == CollectiveKind::Transfers && e.messages == 0;
+  if (ledger != nullptr && (!empty || retry.attempts > 0)) {
+    e.retry_us = retry.us;
+    e.retries = retry.attempts;
+    ledger->record(e);
+  }
+  if (machine_->trace().enabled()) {
+    machine_->trace().record({.time = horizon(),
+                              .kind = proto.event,
+                              .rank = ranks_.front(),
+                              .group_base = ranks_.front(),
+                              .group_size = size(),
+                              .words = e.words,
+                              .detail = proto.detail});
+  }
+}
+
 template <typename T>
-void reduce_buffers(const std::vector<T*>& bufs, std::size_t len) {
+void Group::all_reduce_sum(const std::vector<T*>& bufs, std::size_t len,
+                           double words) const {
+  if (static_cast<int>(bufs.size()) != size()) {
+    throw std::invalid_argument(
+        "Group::all_reduce_sum: " + describe() + ": expected one buffer per "
+        "member, got " + std::to_string(bufs.size()));
+  }
   // Element-wise sum into bufs[0], then copy back out to every buffer.
   // The simulated collective is a recursive doubling all-reduce; in the
   // shared address space the arithmetic result is the same.
@@ -102,141 +170,69 @@ void reduce_buffers(const std::vector<T*>& bufs, std::size_t len) {
   for (std::size_t b = 1; b < bufs.size(); ++b) {
     std::copy(bufs[0], bufs[0] + len, bufs[b]);
   }
+  charge_all_reduce(words < 0.0 ? static_cast<double>(len) * sizeof(T) / 4.0
+                                : words);
 }
 
-}  // namespace
-
-namespace {
-
-void check_buffer_count(std::size_t bufs, int group_size,
-                        const std::string& group) {
-  if (static_cast<int>(bufs) != group_size) {
-    throw std::invalid_argument(
-        "Group::all_reduce_sum: " + group + ": expected one buffer per "
-        "member, got " + std::to_string(bufs));
-  }
-}
-
-}  // namespace
-
-void Group::all_reduce_sum(const std::vector<std::int64_t*>& bufs,
-                           std::size_t len, double words) const {
-  check_buffer_count(bufs.size(), size(), describe());
-  reduce_buffers(bufs, len);
-  if (words < 0.0) {
-    words = static_cast<double>(len) * sizeof(std::int64_t) / 4.0;
-  }
-  charge_all_reduce(words);
-}
-
-void Group::all_reduce_sum(const std::vector<double*>& bufs, std::size_t len,
-                           double words) const {
-  check_buffer_count(bufs.size(), size(), describe());
-  reduce_buffers(bufs, len);
-  if (words < 0.0) {
-    words = static_cast<double>(len) * sizeof(double) / 4.0;
-  }
-  charge_all_reduce(words);
-}
+template void Group::all_reduce_sum(const std::vector<std::int64_t*>&,
+                                    std::size_t, double) const;
+template void Group::all_reduce_sum(const std::vector<double*>&, std::size_t,
+                                    double) const;
 
 void Group::charge_all_reduce(double words) const {
   check_words(words, "charge_all_reduce");
-  if (size() <= 1) return;
-  annotate(CollectiveKind::AllReduce, words);
-  sync("all-reduce");
-  const Machine::RetryAccrual retry = machine_->take_retry_accrual();
-  const CostModel& cm = machine_->cost();
-  const int rounds = dimension();
-  // Recursive doubling (the paper's Eq. 2): one full-size exchange per
-  // hypercube dimension.
-  const Time cost = cm.all_reduce(words, size());
-  const Time latency = cm.t_s * rounds;
-  // Recursive doubling holds one shadow buffer of the payload per member
-  // while the exchange is in flight.
-  const std::int64_t staging = staging_bytes(words);
-  for (Rank r : ranks_) {
-    machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
-  }
-  for (Rank r : ranks_) {
-    machine_->charge_comm(r, cost, words * rounds, words * rounds,
-                          static_cast<std::uint64_t>(rounds), latency);
-  }
-  for (Rank r : ranks_) {
-    machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
-  }
-  if (CommLedger* ledger = machine_->comm_ledger()) {
-    CollectiveEntry e;
-    e.kind = CollectiveKind::AllReduce;
-    e.group_base = ranks_.front();
-    e.group_size = size();
-    e.words = words;
-    // Every member is charged the Eq. 2 formula directly, so measured
-    // and predicted coincide bit-exactly.
-    e.predicted_us = cost * size();
-    e.measured_us = e.predicted_us;
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
-    const int p = size();
-    for (int d = 0; d < rounds; ++d) {
-      for (int i = 0; i < p; ++i) {
-        const int partner = i ^ (1 << d);
-        if (partner < p) {
-          ledger->add_traffic(rank(i), rank(partner), words);
-          ++e.messages;
-        }
-      }
-    }
-    ledger->record(e);
-  }
-  trace(EventKind::AllReduce, words, "all-reduce");
+  charge_uniform(CollectiveKind::AllReduce, words);
 }
 
 void Group::charge_broadcast(double words) const {
   check_words(words, "charge_broadcast");
+  charge_uniform(CollectiveKind::Broadcast, words);
+}
+
+void Group::charge_uniform(CollectiveKind kind, double words) const {
   if (size() <= 1) return;
-  annotate(CollectiveKind::Broadcast, words);
-  sync("broadcast");
-  const Machine::RetryAccrual retry = machine_->take_retry_accrual();
-  const CostModel& cm = machine_->cost();
-  const int rounds = dimension();
-  const Time cost = cm.broadcast(words, size());
-  const Time latency = cm.t_s * rounds;
-  const std::int64_t staging = staging_bytes(words);
-  for (Rank r : ranks_) {
-    machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
-  }
-  for (Rank r : ranks_) {
-    machine_->charge_comm(r, cost, words, words,
-                          static_cast<std::uint64_t>(rounds), latency);
-  }
-  for (Rank r : ranks_) {
-    machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
-  }
-  if (CommLedger* ledger = machine_->comm_ledger()) {
-    CollectiveEntry e;
-    e.kind = CollectiveKind::Broadcast;
-    e.group_base = ranks_.front();
-    e.group_size = size();
-    e.words = words;
-    e.predicted_us = cost * size();
-    e.measured_us = e.predicted_us;
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
-    // Binomial tree rooted at the first member: in round d the members
-    // that already hold the payload (indices < 2^d) send it 2^d ahead.
+  const bool reduce = kind == CollectiveKind::AllReduce;
+  collective(kind, words, [&](CollectiveEntry& e, CommLedger* ledger) {
+    const CostModel& cm = machine_->cost();
     const int p = size();
+    const int rounds = dimension();
+    // Recursive doubling (the paper's Eq. 2) exchanges the full payload
+    // once per hypercube dimension; a binomial broadcast delivers it once.
+    const Time cost = reduce ? cm.all_reduce(words, p) : cm.broadcast(words, p);
+    const double member_words = reduce ? words * rounds : words;
+    // Every member holds one shadow buffer of the payload while the
+    // exchange is in flight.
+    const std::int64_t staging = staging_bytes(words);
+    for (Rank r : ranks_) {
+      machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
+    }
+    for (Rank r : ranks_) {
+      machine_->charge_comm(r, cost, member_words, member_words,
+                            static_cast<std::uint64_t>(rounds),
+                            cm.t_s * rounds);
+    }
+    for (Rank r : ranks_) {
+      machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
+    }
+    // Every member is charged the formula directly, so measured and
+    // predicted coincide bit-exactly.
+    e.predicted_us = cost * p;
+    e.measured_us = e.predicted_us;
+    if (ledger == nullptr) return;
+    // All-reduce: in round d every member exchanges with its partner
+    // across dimension d. Broadcast: a binomial tree rooted at the first
+    // member, where the members that already hold the payload (indices
+    // < 2^d) send it 2^d ahead.
     for (int d = 0; d < rounds; ++d) {
-      for (int i = 0; i < (1 << d); ++i) {
-        const int target = i + (1 << d);
-        if (target < p) {
-          ledger->add_traffic(rank(i), rank(target), words);
+      for (int i = 0; i < (reduce ? p : 1 << d); ++i) {
+        const int to = reduce ? i ^ (1 << d) : i + (1 << d);
+        if (to < p) {
+          ledger->add_traffic(rank(i), rank(to), words);
           ++e.messages;
         }
       }
     }
-    ledger->record(e);
-  }
-  trace(EventKind::Broadcast, words, "broadcast");
+  });
 }
 
 void Group::pairwise_exchange(const std::vector<double>& words_out) const {
@@ -251,70 +247,51 @@ void Group::pairwise_exchange(const std::vector<double>& words_out) const {
                                 ": requires an even-sized group");
   }
   for (const double w : words_out) check_words(w, "pairwise_exchange");
-  annotate(CollectiveKind::PairwiseExchange,
-           std::accumulate(words_out.begin(), words_out.end(), 0.0));
-  sync("pairwise-exchange");
-  Machine::RetryAccrual retry = machine_->take_retry_accrual();
-  const CostModel& cm = machine_->cost();
-  const int half = size() / 2;
-  CommLedger* ledger = machine_->comm_ledger();
-  double total = 0.0;
-  Time predicted = 0.0;
-  Time max_member = 0.0;
-  Time io_total = 0.0;
-  for (int i = 0; i < half; ++i) {
-    // Member i pairs with member i + half. For a subcube this is exactly
-    // the partner across the highest free dimension.
-    const double out_a = words_out[static_cast<std::size_t>(i)];
-    const double out_b = words_out[static_cast<std::size_t>(i + half)];
-    const double lf = machine_->link_factor(rank(i), rank(i + half));
-    const Time cost = (cm.t_s + cm.t_w * std::max(out_a, out_b)) * lf;
-    const Time latency = cm.t_s * lf;
-    // Both endpoints stage the outbound payload plus the inbound one.
-    const std::int64_t staging = staging_bytes(out_a + out_b);
-    machine_->alloc_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-    machine_->alloc_bytes(rank(i + half), MemTag::CollectiveBuffer, staging);
-    machine_->charge_comm(rank(i), cost, out_a, out_b, 1, latency);
-    machine_->charge_comm(rank(i + half), cost, out_b, out_a, 1, latency);
-    machine_->free_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-    machine_->free_bytes(rank(i + half), MemTag::CollectiveBuffer, staging);
-    // Records live in disk-resident attribute lists: the sender reads what
-    // it ships, the receiver writes what arrives.
-    const Time io = cm.t_io * (out_a + out_b);
-    machine_->charge_io(rank(i), io);
-    machine_->charge_io(rank(i + half), io);
-    total += out_a + out_b;
-    if (ledger != nullptr) {
-      predicted += cost + cost;
+  collective(CollectiveKind::PairwiseExchange,
+             std::accumulate(words_out.begin(), words_out.end(), 0.0),
+             [&](CollectiveEntry& e, CommLedger* ledger) {
+    const CostModel& cm = machine_->cost();
+    const int half = size() / 2;
+    double total = 0.0;
+    Time max_member = 0.0;
+    for (int i = 0; i < half; ++i) {
+      // Member i pairs with member i + half. For a subcube this is exactly
+      // the partner across the highest free dimension.
+      const Rank a = rank(i);
+      const Rank b = rank(i + half);
+      const double out_a = words_out[static_cast<std::size_t>(i)];
+      const double out_b = words_out[static_cast<std::size_t>(i + half)];
+      const double lf = machine_->link_factor(a, b);
+      const Time cost = (cm.t_s + cm.t_w * std::max(out_a, out_b)) * lf;
+      const Time latency = cm.t_s * lf;
+      // Both endpoints stage the outbound payload plus the inbound one.
+      const std::int64_t staging = staging_bytes(out_a + out_b);
+      machine_->alloc_bytes(a, MemTag::CollectiveBuffer, staging);
+      machine_->alloc_bytes(b, MemTag::CollectiveBuffer, staging);
+      machine_->charge_comm(a, cost, out_a, out_b, 1, latency);
+      machine_->charge_comm(b, cost, out_b, out_a, 1, latency);
+      machine_->free_bytes(a, MemTag::CollectiveBuffer, staging);
+      machine_->free_bytes(b, MemTag::CollectiveBuffer, staging);
+      // Records live in disk-resident attribute lists: the sender reads
+      // what it ships, the receiver writes what arrives.
+      const Time io = cm.t_io * (out_a + out_b);
+      machine_->charge_io(a, io);
+      machine_->charge_io(b, io);
+      total += out_a + out_b;
+      e.predicted_us += cost + cost;
       max_member = std::max(max_member, cost);
-      io_total += io + io;
-      ledger->add_traffic(rank(i), rank(i + half), out_a);
-      ledger->add_traffic(rank(i + half), rank(i), out_b);
+      e.io_us += io + io;
+      if (ledger != nullptr) {
+        ledger->add_traffic(a, b, out_a);
+        ledger->add_traffic(b, a, out_b);
+      }
     }
-  }
-  sync("pairwise-exchange");
-  {
-    const Machine::RetryAccrual trailing = machine_->take_retry_accrual();
-    retry.us += trailing.us;
-    retry.attempts += trailing.attempts;
-  }
-  if (ledger != nullptr) {
-    CollectiveEntry e;
-    e.kind = CollectiveKind::PairwiseExchange;
-    e.group_base = ranks_.front();
-    e.group_size = size();
     e.words = total;
-    e.predicted_us = predicted;
-    // Unequal pair volumes serialize at the trailing barrier: every
-    // member effectively pays for the heaviest pair.
+    // Unequal pair volumes serialize at the trailing barrier: every member
+    // effectively pays for the heaviest pair.
     e.measured_us = max_member * size();
-    e.io_us = io_total;
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
     e.messages = static_cast<std::uint64_t>(size());
-    ledger->record(e);
-  }
-  trace(EventKind::MovingPhase, total, "pairwise exchange");
+  });
 }
 
 std::vector<Transfer> Group::plan_balance(
@@ -374,80 +351,54 @@ void Group::charge_transfers(const std::vector<Transfer>& transfers,
   for (const Transfer& t : transfers) {
     plan_words += static_cast<double>(t.count) * words_per_item;
   }
-  annotate(CollectiveKind::Transfers, plan_words);
-  sync("load-balance");
-  Machine::RetryAccrual retry = machine_->take_retry_accrual();
-  const CostModel& cm = machine_->cost();
-  // Each member pays t_w for every word it sends or receives, plus one
-  // start-up per transfer it participates in. Transfers between disjoint
-  // pairs overlap; we charge per-member serialized cost, which matches the
-  // Eq. 3/4 bound of 2*(N/P)*t_w when counts are within [0, 2N/P].
-  std::vector<Time> member_cost(static_cast<std::size_t>(size()), 0.0);
-  std::vector<Time> member_latency(static_cast<std::size_t>(size()), 0.0);
-  std::vector<double> member_words(static_cast<std::size_t>(size()), 0.0);
-  CommLedger* ledger = machine_->comm_ledger();
-  double total_words = 0.0;
-  for (const Transfer& t : transfers) {
-    const double words = static_cast<double>(t.count) * words_per_item;
-    const double lf = machine_->link_factor(rank(t.from), rank(t.to));
-    const Time wire = (cm.t_s + cm.t_w * words) * lf;
-    member_cost[static_cast<std::size_t>(t.from)] += wire;
-    member_cost[static_cast<std::size_t>(t.to)] += wire;
-    member_latency[static_cast<std::size_t>(t.from)] += cm.t_s * lf;
-    member_latency[static_cast<std::size_t>(t.to)] += cm.t_s * lf;
-    member_words[static_cast<std::size_t>(t.from)] += words;
-    member_words[static_cast<std::size_t>(t.to)] += words;
-    total_words += words;
-    if (ledger != nullptr) {
-      ledger->add_traffic(rank(t.from), rank(t.to), words);
-    }
-  }
-  for (int i = 0; i < size(); ++i) {
-    if (member_cost[static_cast<std::size_t>(i)] > 0.0) {
-      const std::int64_t staging =
-          staging_bytes(member_words[static_cast<std::size_t>(i)]);
-      machine_->alloc_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-      machine_->charge_comm(rank(i), member_cost[static_cast<std::size_t>(i)],
-                            member_words[static_cast<std::size_t>(i)],
-                            member_words[static_cast<std::size_t>(i)], 1,
-                            member_latency[static_cast<std::size_t>(i)]);
-      machine_->charge_io(
-          rank(i), cm.t_io * member_words[static_cast<std::size_t>(i)]);
-      machine_->free_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-    }
-  }
-  sync("load-balance");
-  {
-    const Machine::RetryAccrual trailing = machine_->take_retry_accrual();
-    retry.us += trailing.us;
-    retry.attempts += trailing.attempts;
-  }
-  // An empty transfer plan normally records nothing, but retry cost burned
-  // at its barriers must still land in the ledger.
-  if (ledger != nullptr && (!transfers.empty() || retry.attempts > 0)) {
-    CollectiveEntry e;
-    e.kind = CollectiveKind::Transfers;
-    e.group_base = ranks_.front();
-    e.group_size = size();
-    e.words = total_words;
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
-    Time max_member = 0.0;
-    for (int i = 0; i < size(); ++i) {
-      const Time c = member_cost[static_cast<std::size_t>(i)];
-      if (c > 0.0) {
-        e.predicted_us += c;
-        e.io_us += cm.t_io * member_words[static_cast<std::size_t>(i)];
+  collective(CollectiveKind::Transfers, plan_words,
+             [&](CollectiveEntry& e, CommLedger* ledger) {
+    const CostModel& cm = machine_->cost();
+    // Each member pays t_w for every word it sends or receives, plus one
+    // start-up per transfer it participates in. Transfers between disjoint
+    // pairs overlap; we charge per-member serialized cost, which matches
+    // the Eq. 3/4 bound of 2*(N/P)*t_w when counts are within [0, 2N/P].
+    const auto n = static_cast<std::size_t>(size());
+    std::vector<Time> member_cost(n, 0.0);
+    std::vector<Time> member_latency(n, 0.0);
+    std::vector<double> member_words(n, 0.0);
+    for (const Transfer& t : transfers) {
+      const auto from = static_cast<std::size_t>(t.from);
+      const auto to = static_cast<std::size_t>(t.to);
+      const double words = static_cast<double>(t.count) * words_per_item;
+      const double lf = machine_->link_factor(rank(t.from), rank(t.to));
+      const Time wire = (cm.t_s + cm.t_w * words) * lf;
+      member_cost[from] += wire;
+      member_cost[to] += wire;
+      member_latency[from] += cm.t_s * lf;
+      member_latency[to] += cm.t_s * lf;
+      member_words[from] += words;
+      member_words[to] += words;
+      if (ledger != nullptr) {
+        ledger->add_traffic(rank(t.from), rank(t.to), words);
       }
-      max_member = std::max(max_member, c);
+    }
+    Time max_member = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Rank r = rank(static_cast<int>(i));
+      if (member_cost[i] > 0.0) {
+        const std::int64_t staging = staging_bytes(member_words[i]);
+        const Time io = cm.t_io * member_words[i];
+        machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
+        machine_->charge_comm(r, member_cost[i], member_words[i],
+                              member_words[i], 1, member_latency[i]);
+        machine_->charge_io(r, io);
+        machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
+        e.predicted_us += member_cost[i];
+        e.io_us += io;
+      }
+      max_member = std::max(max_member, member_cost[i]);
     }
     // Members outside the transfer plan idle at the trailing barrier
     // while the busiest endpoint drains its queue.
     e.measured_us = max_member * size();
     e.messages = static_cast<std::uint64_t>(transfers.size());
-    ledger->record(e);
-  }
-  trace(EventKind::LoadBalance, total_words, "load balance");
+  });
 }
 
 void Group::all_to_all_personalized(
@@ -475,82 +426,51 @@ void Group::all_to_all_personalized(
     }
   }
   if (p <= 1) return;
-  std::vector<double> sent(static_cast<std::size_t>(p), 0.0);
-  std::vector<double> recv(static_cast<std::size_t>(p), 0.0);
-  for (int i = 0; i < p; ++i) {
-    for (int j = 0; j < p; ++j) {
-      const double w =
-          words_out[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-      sent[static_cast<std::size_t>(i)] += w;
-      recv[static_cast<std::size_t>(j)] += w;
+  const auto n = static_cast<std::size_t>(p);
+  std::vector<double> sent(n, 0.0);
+  std::vector<double> recv(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      sent[i] += words_out[i][j];
+      recv[j] += words_out[i][j];
     }
   }
-  annotate(CollectiveKind::AllToAll,
-           std::accumulate(sent.begin(), sent.end(), 0.0));
-  sync("all-to-all");
-  Machine::RetryAccrual retry = machine_->take_retry_accrual();
-  const CostModel& cm = machine_->cost();
-  const int rounds = dimension();
-  CommLedger* ledger = machine_->comm_ledger();
-  double total = 0.0;
-  Time predicted = 0.0;
-  double max_vol = 0.0;
-  Time io_total = 0.0;
-  for (int i = 0; i < p; ++i) {
-    const double vol = std::max(sent[static_cast<std::size_t>(i)],
-                                recv[static_cast<std::size_t>(i)]);
-    const Time cost = cm.all_to_all(vol, p);
-    const Time latency = cm.t_s * rounds;
-    const std::int64_t staging =
-        staging_bytes(sent[static_cast<std::size_t>(i)] +
-                      recv[static_cast<std::size_t>(i)]);
-    machine_->alloc_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-    machine_->charge_comm(rank(i), cost, sent[static_cast<std::size_t>(i)],
-                          recv[static_cast<std::size_t>(i)],
-                          static_cast<std::uint64_t>(rounds), latency);
-    const Time io = cm.t_io * (sent[static_cast<std::size_t>(i)] +
-                               recv[static_cast<std::size_t>(i)]);
-    machine_->charge_io(rank(i), io);
-    machine_->free_bytes(rank(i), MemTag::CollectiveBuffer, staging);
-    total += sent[static_cast<std::size_t>(i)];
-    if (ledger != nullptr) {
-      predicted += cost;
+  collective(CollectiveKind::AllToAll,
+             std::accumulate(sent.begin(), sent.end(), 0.0),
+             [&](CollectiveEntry& e, CommLedger* ledger) {
+    const CostModel& cm = machine_->cost();
+    const int rounds = dimension();
+    double max_vol = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Rank r = rank(static_cast<int>(i));
+      const double vol = std::max(sent[i], recv[i]);
+      const Time cost = cm.all_to_all(vol, p);
+      const Time io = cm.t_io * (sent[i] + recv[i]);
+      const std::int64_t staging = staging_bytes(sent[i] + recv[i]);
+      machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
+      machine_->charge_comm(r, cost, sent[i], recv[i],
+                            static_cast<std::uint64_t>(rounds),
+                            cm.t_s * rounds);
+      machine_->charge_io(r, io);
+      machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
+      e.predicted_us += cost;
+      e.io_us += io;
       max_vol = std::max(max_vol, vol);
-      io_total += io;
     }
-  }
-  sync("all-to-all");
-  {
-    const Machine::RetryAccrual trailing = machine_->take_retry_accrual();
-    retry.us += trailing.us;
-    retry.attempts += trailing.attempts;
-  }
-  if (ledger != nullptr) {
-    CollectiveEntry e;
-    e.kind = CollectiveKind::AllToAll;
-    e.group_base = ranks_.front();
-    e.group_size = p;
-    e.words = total;
-    e.predicted_us = predicted;
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
     // The member with the heaviest send/receive volume sets the pace for
     // everyone at the trailing barrier.
     e.measured_us = cm.all_to_all(max_vol, p) * p;
-    e.io_us = io_total;
-    for (int i = 0; i < p; ++i) {
-      for (int j = 0; j < p; ++j) {
-        const double w =
-            words_out[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-        if (i != j && w > 0.0) {
-          ledger->add_traffic(rank(i), rank(j), w);
+    if (ledger == nullptr) return;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i != j && words_out[i][j] > 0.0) {
+          ledger->add_traffic(rank(static_cast<int>(i)),
+                              rank(static_cast<int>(j)), words_out[i][j]);
           ++e.messages;
         }
       }
     }
-    ledger->record(e);
-  }
-  trace(EventKind::PointToPoint, total, "all-to-all personalized");
+  });
 }
 
 std::pair<Group, Group> Group::halves() const {
@@ -563,15 +483,6 @@ std::pair<Group, Group> Group::halves() const {
   std::vector<Rank> lo(ranks_.begin(), ranks_.begin() + half);
   std::vector<Rank> hi(ranks_.begin() + half, ranks_.end());
   return {Group(*machine_, std::move(lo)), Group(*machine_, std::move(hi))};
-}
-
-Group Group::merged_with(const Group& other) const {
-  std::vector<Rank> all = ranks_;
-  all.insert(all.end(), other.ranks_.begin(), other.ranks_.end());
-  Group g(*machine_, std::move(all));
-  g.barrier();
-  g.trace(EventKind::Rejoin, 0.0, "groups merged");
-  return g;
 }
 
 }  // namespace pdt::mpsim

@@ -9,7 +9,13 @@
 // Collectives have barrier semantics: every member's clock first advances
 // to the group maximum (waiting ranks accrue idle time — this is where the
 // paper's load-imbalance penalty physically shows up), then the collective
-// cost is charged to every member.
+// cost is charged to every member. All five share one protocol (the
+// private collective()): name the call in the event log, admit and
+// synchronize the members, charge them, synchronize again when members
+// paid unequal costs, then write the one CommLedger entry with the retry
+// cost its barriers burned, and the one trace event. Each collective
+// supplies only its checks, its cost formula, its per-member charges and
+// its traffic pattern.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +28,8 @@
 namespace pdt::mpsim {
 
 enum class CollectiveKind;
+struct CollectiveEntry;
+class CommLedger;
 
 /// A planned item transfer between two group members (indices into the
 /// group's rank list, not raw ranks).
@@ -61,9 +69,9 @@ class Group {
   /// `words` defaults to length * sizeof(T) / 4; pass it explicitly when
   /// the wire format is narrower than the in-memory type (e.g. histogram
   /// counts kept in int64 locally but 4-byte words on the wire).
-  void all_reduce_sum(const std::vector<std::int64_t*>& bufs, std::size_t len,
-                      double words = -1.0) const;
-  void all_reduce_sum(const std::vector<double*>& bufs, std::size_t len,
+  /// Defined for T = std::int64_t and double.
+  template <typename T>
+  void all_reduce_sum(const std::vector<T*>& bufs, std::size_t len,
                       double words = -1.0) const;
 
   /// Cost-only all-reduce of `words` 4-byte words (for reductions whose
@@ -102,27 +110,17 @@ class Group {
   /// Split a subcube group into its two half subcubes.
   [[nodiscard]] std::pair<Group, Group> halves() const;
 
-  /// Merge with another group (rejoin): the union rank set. Clocks are
-  /// synchronized to the union max.
-  [[nodiscard]] Group merged_with(const Group& other) const;
-
  private:
-  void trace(EventKind kind, double words, const char* detail) const;
-  /// Note the upcoming collective in the machine's event recorder (kind,
-  /// member set, total payload, hypercube rounds) so replay analyzers can
-  /// label the barrier that follows. No-op without a recorder.
-  void annotate(CollectiveKind kind, double words) const;
-  /// Barrier that names the collective for deadlock/fault diagnostics.
-  /// Admission first: transient faults matching this member set burn
-  /// their retry budget (backed-off idle, Retry events) before the
-  /// collective is allowed to proceed; exhausted budgets escalate to
-  /// RankFailure inside admit_collective. Note that collectives on
-  /// singleton groups return before reaching sync(), so transient plans
-  /// never fire for a group of one.
-  void sync(const char* what) const {
-    machine_->admit_collective(ranks_, what);
-    machine_->barrier_over(ranks_, what);
-  }
+  /// The protocol every collective shares (see the file comment).
+  /// `words` is the payload the event log is told about and the entry's
+  /// default word count. `charge(e, ledger)` bills the members, fills
+  /// `e`'s cost, payload and message fields, and adds the traffic to
+  /// `ledger` when one is attached. Admission ignores a group of one,
+  /// so transient plans never fire for it.
+  template <typename Charge>
+  void collective(CollectiveKind kind, double words, Charge&& charge) const;
+  /// All-reduce and broadcast: every member pays the same formula.
+  void charge_uniform(CollectiveKind kind, double words) const;
   /// "group [lo..hi] of p" — rank context for precondition errors.
   [[nodiscard]] std::string describe() const;
   /// Throw std::invalid_argument when `words` is not a finite

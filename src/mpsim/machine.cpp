@@ -51,33 +51,9 @@ Time Machine::min_clock() const {
   return *std::min_element(clocks_.begin(), clocks_.end());
 }
 
-void Machine::charge_compute(Rank r, double units) {
-  charge_compute_time(r, units * cost_.t_c);
-}
-
-void Machine::charge_compute_time(Rank r, Time t) {
-  assert(t >= 0.0);
-  if (injector_ != nullptr) {
-    if (!injector_->alive(r)) {
-      throw RankFailure(r, injector_->level(r), /*detected=*/false);
-    }
-    t *= injector_->time_factor(r);
-  }
-  const Time start = clocks_[idx(r)];
-  clocks_[idx(r)] += t;
-  stats_[idx(r)].compute_time += t;
-  if (observer_ != nullptr) {
-    observer_->on_charge(r, ChargeKind::Compute, start, t, 0.0, 0.0);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->record_charge(r, ChargeKind::Compute, t, 0.0, 0.0, 0.0, 0,
-                             cur_level_[idx(r)]);
-  }
-}
-
-void Machine::charge_comm(Rank r, Time t, double words_sent,
-                          double words_received, std::uint64_t messages,
-                          Time latency) {
+void Machine::charge(Rank r, ChargeKind kind, Time t, double words_sent,
+                     double words_received, std::uint64_t messages,
+                     Time latency) {
   assert(t >= 0.0);
   if (injector_ != nullptr) {
     if (!injector_->alive(r)) {
@@ -87,40 +63,25 @@ void Machine::charge_comm(Rank r, Time t, double words_sent,
     t *= factor;
     latency *= factor;  // the decomposition scales with the whole charge
   }
-  const Time start = clocks_[idx(r)];
-  clocks_[idx(r)] += t;
-  auto& s = stats_[idx(r)];
-  s.comm_time += t;
+  const std::size_t i = idx(r);
+  const Time start = clocks_[i];
+  clocks_[i] += t;
+  RankStats& s = stats_[i];
+  switch (kind) {
+    case ChargeKind::Compute: s.compute_time += t; break;
+    case ChargeKind::Comm: s.comm_time += t; break;
+    case ChargeKind::Io: s.io_time += t; break;
+    case ChargeKind::Idle: assert(false && "idle is waited, not charged");
+  }
   s.words_sent += static_cast<std::uint64_t>(words_sent);
   s.words_received += static_cast<std::uint64_t>(words_received);
   s.messages_sent += messages;
   if (observer_ != nullptr) {
-    observer_->on_charge(r, ChargeKind::Comm, start, t, words_sent,
-                         words_received);
+    observer_->on_charge(r, kind, start, t, words_sent, words_received);
   }
   if (recorder_ != nullptr) {
-    recorder_->record_charge(r, ChargeKind::Comm, t, latency, words_sent,
-                             words_received, messages, cur_level_[idx(r)]);
-  }
-}
-
-void Machine::charge_io(Rank r, Time t) {
-  assert(t >= 0.0);
-  if (injector_ != nullptr) {
-    if (!injector_->alive(r)) {
-      throw RankFailure(r, injector_->level(r), /*detected=*/false);
-    }
-    t *= injector_->time_factor(r);
-  }
-  const Time start = clocks_[idx(r)];
-  clocks_[idx(r)] += t;
-  stats_[idx(r)].io_time += t;
-  if (observer_ != nullptr) {
-    observer_->on_charge(r, ChargeKind::Io, start, t, 0.0, 0.0);
-  }
-  if (recorder_ != nullptr) {
-    recorder_->record_charge(r, ChargeKind::Io, t, 0.0, 0.0, 0.0, 0,
-                             cur_level_[idx(r)]);
+    recorder_->record_charge(r, kind, t, latency, words_sent, words_received,
+                             messages, cur_level_[i]);
   }
 }
 
@@ -146,13 +107,16 @@ void Machine::wait_for(Rank r, Rank src) {
   advance_to(r, clocks_[idx(src)]);
 }
 
-Time Machine::charge_timeout(const std::vector<Rank>& survivors, Rank dead) {
+Time Machine::wait_out(const std::vector<Rank>& ranks, Time window) {
   Time horizon = 0.0;
-  for (const Rank r : survivors) {
-    horizon = std::max(horizon, clocks_[idx(r)]);
-  }
-  const Time deadline = horizon + cost_.t_timeout;
-  for (const Rank r : survivors) advance_to(r, deadline);
+  for (const Rank r : ranks) horizon = std::max(horizon, clocks_[idx(r)]);
+  const Time deadline = horizon + window;
+  for (const Rank r : ranks) advance_to(r, deadline);
+  return deadline;
+}
+
+Time Machine::charge_timeout(const std::vector<Rank>& survivors, Rank dead) {
+  const Time deadline = wait_out(survivors, cost_.t_timeout);
   if (recorder_ != nullptr) recorder_->record_timeout(dead, survivors);
   return deadline;
 }
@@ -166,10 +130,7 @@ void Machine::admit_collective(const std::vector<Rank>& ranks,
   for (int attempt = 0; attempt < v.failures; ++attempt) {
     // Exponential backoff: attempt i waits out 2^i detection windows.
     const double mult = static_cast<double>(std::uint64_t{1} << attempt);
-    Time horizon = 0.0;
-    for (const Rank r : ranks) horizon = std::max(horizon, clocks_[idx(r)]);
-    const Time deadline = horizon + cost_.t_timeout * mult;
-    for (const Rank r : ranks) advance_to(r, deadline);
+    const Time deadline = wait_out(ranks, cost_.t_timeout * mult);
     if (recorder_ != nullptr) recorder_->record_retry(v.faulty, ranks, mult);
     const Time window =
         cost_.t_timeout * mult * static_cast<double>(ranks.size());
@@ -326,8 +287,6 @@ void Machine::mark_unreachable(Rank r, std::string note) {
 void Machine::arm_faults(const FaultPlan& plan) {
   injector_ = std::make_unique<FaultInjector>(plan, size());
 }
-
-void Machine::disarm_faults() { injector_.reset(); }
 
 void Machine::alloc_bytes(Rank r, MemTag tag, std::int64_t bytes) {
   assert(bytes >= 0);

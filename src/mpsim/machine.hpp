@@ -9,6 +9,12 @@
 // This substitutes for the paper's 128-node IBM SP-2 (see DESIGN.md §1):
 // the algorithmic behaviour (tree shape, communication volume, load
 // imbalance) is genuine; only wall-clock time is virtual.
+//
+// Clocks move in two ways only. A charge (compute, communication or I/O)
+// goes through one private step that applies the fault plan, advances the
+// clock and tells the observer and the event recorder. A wait (barrier,
+// detection timeout, retry backoff, wait_until/wait_for) advances a clock
+// to a target time and is accounted as idle.
 #pragma once
 
 #include <array>
@@ -45,19 +51,26 @@ class Machine {
 
   /// Charge `units` abstract computation units (each costing t_c) to rank
   /// r's clock.
-  void charge_compute(Rank r, double units);
+  void charge_compute(Rank r, double units) {
+    charge(r, ChargeKind::Compute, units * cost_.t_c);
+  }
   /// Charge raw virtual time to r's clock, accounted as computation.
   /// Used for work whose cost is not a clean multiple of t_c (e.g. the
   /// n log n term of a local sort).
-  void charge_compute_time(Rank r, Time t);
+  void charge_compute_time(Rank r, Time t) {
+    charge(r, ChargeKind::Compute, t);
+  }
   /// Charge communication time to r's clock and record traffic volume.
   /// `latency` is the t_s-proportional (start-up) part of `t`, recorded
   /// so an event-log replay can rescale the latency and bandwidth terms
   /// independently; it never affects the charge itself.
   void charge_comm(Rank r, Time t, double words_sent, double words_received,
-                   std::uint64_t messages = 1, Time latency = 0.0);
+                   std::uint64_t messages = 1, Time latency = 0.0) {
+    charge(r, ChargeKind::Comm, t, words_sent, words_received, messages,
+           latency);
+  }
   /// Charge disk-I/O time (record relocation) to r's clock.
-  void charge_io(Rank r, Time t);
+  void charge_io(Rank r, Time t) { charge(r, ChargeKind::Io, t); }
   /// Advance r's clock to `t` (>= current), accounting the gap as idle
   /// (barrier wait). No-op if r is already past t.
   void wait_until(Rank r, Time t);
@@ -169,7 +182,6 @@ class Machine {
   /// rank's charges raise RankFailure). One predictable branch per charge
   /// when disarmed, so fault-free runs stay bit-identical.
   void arm_faults(const FaultPlan& plan);
-  void disarm_faults();
   /// The armed injector, or nullptr on the fault-free path.
   [[nodiscard]] FaultInjector* fault() const { return injector_.get(); }
 
@@ -202,11 +214,22 @@ class Machine {
   };
   static constexpr int kStampDepth = 4;
 
-  /// wait_until without the event-log hook: barrier_over and
-  /// charge_timeout advance clocks through this, because the recorded
-  /// Barrier/Timeout event lets the replay *recompute* those idles from
-  /// the member clocks (recording them too would double-advance).
+  /// The one charge step behind charge_compute/_time, charge_comm and
+  /// charge_io: fail on a dead rank, scale by the straggler factor,
+  /// advance the clock, update the stats, then tell the observer and the
+  /// event recorder.
+  void charge(Rank r, ChargeKind kind, Time t, double words_sent = 0.0,
+              double words_received = 0.0, std::uint64_t messages = 0,
+              Time latency = 0.0);
+  /// wait_until without the event-log hook: barrier_over and wait_out
+  /// advance clocks through this, because the recorded Barrier, Timeout
+  /// or Retry event lets the replay *recompute* those idles from the
+  /// member clocks (recording them too would double-advance).
   void advance_to(Rank r, Time t);
+  /// Advance every rank of `ranks` to their horizon plus `window`, as
+  /// idle: the wait of charge_timeout and of each failed attempt in
+  /// admit_collective. Returns the deadline.
+  Time wait_out(const std::vector<Rank>& ranks, Time window);
 
   void push_stamp(Rank r, const char* what);
   [[noreturn]] void throw_deadlock(const std::vector<Rank>& ranks,

@@ -202,17 +202,15 @@ TEST(Group, HalvesOfSubcube) {
   EXPECT_TRUE(b.is_subcube());
 }
 
-TEST(Group, MergeSynchronizesClocks) {
-  Machine m(4, unit_cost());
-  m.charge_compute(0, 5.0);
-  Group a(m, std::vector<Rank>{0, 1});
-  Group b(m, std::vector<Rank>{2, 3});
-  const Group merged = a.merged_with(b);
+TEST(Group, RankListOfTwoHalvesIsASubcube) {
+  // A rejoin lists the ranks of two groups one after the other; when they
+  // make up an aligned subcube, the group must know it.
+  Machine m(8);
+  const Group merged(m, std::vector<Rank>{2, 3, 0, 1});
   EXPECT_EQ(merged.size(), 4);
   EXPECT_TRUE(merged.is_subcube());
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_DOUBLE_EQ(m.clock(r), 5.0);
-  }
+  EXPECT_EQ(merged.subcube().base, 0);
+  EXPECT_EQ(merged.subcube().size, 4);
 }
 
 class AllReducePropertyTest : public ::testing::TestWithParam<int> {};
