@@ -168,7 +168,18 @@ std::string state_text(const RunSnapshot& s, const std::vector<Part>& parts,
 std::string parse_state(const std::string& text, RunSnapshot* out) {
   std::istringstream in(text);
   const int P = out->num_procs;
-  const auto rank_ok = [P](mpsim::Rank r) { return r >= 0 && r < P; };
+  // A group lists each of its ranks once, in range. One rank may be in two
+  // different groups: recovery's machine-wide adopter makes such cuts.
+  const auto read_ranks = [&in, P](std::vector<mpsim::Rank>& group) {
+    std::vector<char> seen(static_cast<std::size_t>(P), 0);
+    for (mpsim::Rank& r : group) {
+      if (!(in >> r) || r < 0 || r >= P ||
+          seen[static_cast<std::size_t>(r)]++ != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
 
   std::size_t nparts = 0;
   if (!expect_key(in, "parts") || !(in >> nparts)) return "state: bad parts";
@@ -183,9 +194,7 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
       return "state: bad part header";
     }
     p.ranks.resize(nranks);
-    for (mpsim::Rank& r : p.ranks) {
-      if (!(in >> r) || !rank_ok(r)) return "state: bad part rank";
-    }
+    if (!read_ranks(p.ranks)) return "state: bad or repeated part rank";
     std::size_t nnodes = 0;
     if (!expect_key(in, "nodes") || !(in >> nnodes)) {
       return "state: bad node count";
@@ -223,9 +232,7 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
       return "state: bad idle group";
     }
     g.resize(n);
-    for (mpsim::Rank& r : g) {
-      if (!(in >> r) || !rank_ok(r)) return "state: bad idle rank";
-    }
+    if (!read_ranks(g)) return "state: bad or repeated idle rank";
   }
 
   std::size_t nmem = 0;

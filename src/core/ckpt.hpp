@@ -86,9 +86,9 @@ struct RunSnapshot {
 
 /// Parse + validate pdt-ckpt-v1 bytes: header structure, section
 /// framing, per-section digests, meta completeness, state consistency
-/// (rank bounds, member counts). Returns "" on success, else a
-/// description of the first problem — callers treat any non-empty
-/// return as "this epoch is corrupt, skip back".
+/// (rank bounds, no rank twice in one group, member counts). Returns ""
+/// on success, else a description of the first problem — callers treat
+/// any non-empty return as "this epoch is corrupt, skip back".
 [[nodiscard]] std::string parse_ckpt(std::string_view text, RunSnapshot* out);
 
 /// The on-disk epoch store: `<dir>/ckpt-<epoch>.pdt` files plus a

@@ -286,6 +286,51 @@ TEST(Resume, RowsPastTheDatasetAreRejectedBeforeAnyRead) {
   fs::remove_all(dir);
 }
 
+TEST(Resume, GroupListingARankTwiceIsSkippedBack) {
+  const data::Dataset ds = workload();
+  const fs::path dir = scratch_dir("repeated_rank");
+  ParOptions opt;
+  opt.num_procs = 4;
+  opt.ckpt_dir = dir.string();
+  opt.ckpt_keep = 1000;
+  const ParResult full = build(Formulation::Sync, ds, opt);
+  ASSERT_GT(full.recovery.durable_checkpoints, 1);
+
+  // Rewrite epoch 1 so its part lists rank 0 twice, re-rendered so that
+  // every section digest is valid. Resumed, rank 0 would re-read two
+  // shards and end the run with Records bytes still live.
+  const fs::path victim = CheckpointStore(dir.string(), 1000).epoch_path(1);
+  RunSnapshot snap;
+  ASSERT_EQ(parse_ckpt(slurp(victim), &snap), "");
+  ASSERT_EQ(snap.parts.size(), 1u);
+  ASSERT_EQ(snap.parts[0].ranks, (std::vector<mpsim::Rank>{0, 1, 2, 3}));
+  RunSnapshot parsed;
+  // An idle group that repeats a rank is as corrupt; a rank that is in
+  // two different groups is not (recovery's machine-wide adopter).
+  snap.idle = {{1, 1}};
+  EXPECT_NE(parse_ckpt(ckpt_text(snap), &parsed), "");
+  snap.idle = {{0, 1}};
+  EXPECT_EQ(parse_ckpt(ckpt_text(snap), &parsed), "");
+  snap.idle.clear();
+  snap.parts[0].ranks = {0, 0, 2, 3};
+  const std::string bytes = ckpt_text(snap);
+  EXPECT_NE(parse_ckpt(bytes, &parsed), "");
+  spit(victim, bytes);
+
+  ParOptions ropt = opt;
+  ropt.resume = true;
+  ropt.resume_epoch = 1;
+  const ParResult resumed = build(Formulation::Sync, ds, ropt);
+  EXPECT_TRUE(resumed.tree.same_as(full.tree));
+  EXPECT_TRUE(resumed.recovery.resumed);
+  EXPECT_EQ(resumed.recovery.resume_skipped, 1);
+  EXPECT_EQ(resumed.recovery.resume_epoch, 0);
+  for (const mpsim::MemStats& m : resumed.mem) {
+    EXPECT_EQ(m.live_for(mpsim::MemTag::Records), 0);
+  }
+  fs::remove_all(dir);
+}
+
 TEST(Resume, DurableCheckpointsOffByDefault) {
   const data::Dataset ds = workload();
   ParOptions opt;
