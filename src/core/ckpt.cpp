@@ -120,18 +120,24 @@ std::string parse_meta(const std::string& text, RunSnapshot* out) {
 
 // --------------------------------------------------------------- state --
 
-/// The state section of `s` with `parts` (CkptPart or LivePart) in place
-/// of s.parts, each node id written through `canon_of` when it is given.
-template <class Part>
-std::string state_text(const RunSnapshot& s, const std::vector<Part>& parts,
+const std::vector<mpsim::Rank>& ranks_of(const CkptPart& p) { return p.ranks; }
+const std::vector<mpsim::Rank>& ranks_of(const Part& p) {
+  return p.group.ranks();
+}
+
+/// The state section of `s` with `parts` (CkptPart or Part) in place of
+/// s.parts, each node id written through `canon_of` when it is given.
+template <class P>
+std::string state_text(const RunSnapshot& s, const std::vector<P>& parts,
                        const std::vector<int>* canon_of) {
   std::ostringstream os;
   os << "parts " << parts.size() << "\n";
   for (std::size_t k = 0; k < parts.size(); ++k) {
-    const Part& p = parts[k];
+    const P& p = parts[k];
+    const std::vector<mpsim::Rank>& ranks = ranks_of(p);
     os << "part " << k << " acc_comm " << double_exact(p.acc_comm) << " ranks "
-       << p.ranks.size();
-    for (const mpsim::Rank r : p.ranks) os << " " << r;
+       << ranks.size();
+    for (const mpsim::Rank r : ranks) os << " " << r;
     os << "\n"
        << "nodes " << p.frontier.size() << "\n";
     for (const NodeWork& nw : p.frontier) {
@@ -168,15 +174,14 @@ std::string state_text(const RunSnapshot& s, const std::vector<Part>& parts,
 std::string parse_state(const std::string& text, RunSnapshot* out) {
   std::istringstream in(text);
   const int P = out->num_procs;
-  // A group lists each of its ranks once, in range. One rank may be in two
+  // A group lists its ranks in range and strictly ascending, as
+  // mpsim::Group keeps them, so none twice. One rank may be in two
   // different groups: recovery's machine-wide adopter makes such cuts.
   const auto read_ranks = [&in, P](std::vector<mpsim::Rank>& group) {
-    std::vector<char> seen(static_cast<std::size_t>(P), 0);
+    mpsim::Rank prev = -1;
     for (mpsim::Rank& r : group) {
-      if (!(in >> r) || r < 0 || r >= P ||
-          seen[static_cast<std::size_t>(r)]++ != 0) {
-        return false;
-      }
+      if (!(in >> r) || r <= prev || r >= P) return false;
+      prev = r;
     }
     return true;
   };
@@ -194,7 +199,7 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
       return "state: bad part header";
     }
     p.ranks.resize(nranks);
-    if (!read_ranks(p.ranks)) return "state: bad or repeated part rank";
+    if (!read_ranks(p.ranks)) return "state: part ranks not ascending in range";
     std::size_t nnodes = 0;
     if (!expect_key(in, "nodes") || !(in >> nnodes)) {
       return "state: bad node count";
@@ -232,7 +237,7 @@ std::string parse_state(const std::string& text, RunSnapshot* out) {
       return "state: bad idle group";
     }
     g.resize(n);
-    if (!read_ranks(g)) return "state: bad or repeated idle rank";
+    if (!read_ranks(g)) return "state: idle ranks not ascending in range";
   }
 
   std::size_t nmem = 0;
@@ -485,12 +490,34 @@ DurableCheckpointer::DurableCheckpointer(ParContext& ctx,
   if (enabled()) epoch_ = store_.latest_epoch() + 1;
 }
 
-void DurableCheckpointer::save(const std::vector<LivePart>& parts,
-                               std::vector<std::vector<mpsim::Rank>> idle) {
+std::vector<Part> DurableCheckpointer::start(std::vector<mpsim::Group>* idle) {
+  mpsim::Machine& machine = ctx_->machine();
+  std::vector<Part> work;
+  RunSnapshot snap;
+  if (resume_from_checkpoint(*ctx_, formulation_, &snap)) {
+    // The worklist was saved in vector order, so rebuilding it in the
+    // same order preserves the pop sequence across the restart.
+    for (CkptPart& p : snap.parts) {
+      work.push_back(Part{mpsim::Group(machine, std::move(p.ranks)),
+                          std::move(p.frontier), p.acc_comm});
+    }
+    for (std::vector<mpsim::Rank>& g : snap.idle) {
+      if (idle != nullptr) idle->emplace_back(machine, std::move(g));
+    }
+    return work;
+  }
+  mpsim::Group all = mpsim::Group::whole(machine);
+  std::vector<NodeWork> frontier;
+  frontier.push_back(ctx_->initial_root(all));
+  work.push_back(Part{std::move(all), std::move(frontier)});
+  return work;
+}
+
+void DurableCheckpointer::save(const std::vector<Part>& parts,
+                               const std::vector<mpsim::Group>& idle) {
   if (!enabled()) return;
   const obs::PhaseScope phase(ctx_->profiler(), "checkpoint");
   mpsim::Machine& machine = ctx_->machine();
-  const mpsim::CostModel& cm = machine.cost();
   const dtree::Tree& tree = ctx_->tree();
 
   RunSnapshot snap;
@@ -504,7 +531,7 @@ void DurableCheckpointer::save(const std::vector<LivePart>& parts,
   snap.records_moved = ctx_->records_moved;
   snap.histogram_words = ctx_->histogram_words;
   snap.record_words = ctx_->record_words();
-  snap.cost = cm;
+  snap.cost = machine.cost();
   {
     const obs::EnvFingerprint fp = obs::EnvFingerprint::collect();
     snap.fingerprint = fp.compiler + " | " + fp.git_sha +
@@ -512,7 +539,7 @@ void DurableCheckpointer::save(const std::vector<LivePart>& parts,
   }
   snap.tree_json = dtree::canonical_nodes_json(tree);
   snap.tree_digest = dtree::sha256_hex(snap.tree_json);
-  snap.idle = std::move(idle);
+  for (const mpsim::Group& g : idle) snap.idle.push_back(g.ranks());
 
   // Each rank serializes its frontier shard to stable storage through a
   // staging buffer at t_io per record word — the same charge the
@@ -521,12 +548,10 @@ void DurableCheckpointer::save(const std::vector<LivePart>& parts,
   // single-threaded simulation makes the cut consistent for free, and a
   // global sync would serialize the hybrid's asynchronous partitions.
   std::vector<std::int64_t> owned(static_cast<std::size_t>(machine.size()), 0);
-  for (const LivePart& p : parts) {
-    for (std::size_t m = 0; m < p.ranks.size(); ++m) {
-      for (const NodeWork& nw : p.frontier) {
-        owned[static_cast<std::size_t>(p.ranks[m])] +=
-            nw.member_records(static_cast<int>(m));
-      }
+  for (const Part& p : parts) {
+    for (int m = 0; m < p.group.size(); ++m) {
+      owned[static_cast<std::size_t>(p.group.rank(m))] +=
+          frontier_member_records(p.frontier, m);
     }
   }
   mpsim::Time io_total = 0.0;
@@ -535,13 +560,7 @@ void DurableCheckpointer::save(const std::vector<LivePart>& parts,
     const std::int64_t n = owned[static_cast<std::size_t>(r)];
     if (n == 0) continue;
     records += n;
-    const std::int64_t staging = n * ctx_->record_bytes();
-    machine.alloc_bytes(r, mpsim::MemTag::Scratch, staging);
-    const mpsim::Time t = cm.t_io * static_cast<double>(n) *
-                          ctx_->record_words();
-    machine.charge_io(r, t);
-    machine.free_bytes(r, mpsim::MemTag::Scratch, staging);
-    io_total += t;
+    io_total += ctx_->write_records(r, n);
   }
   snap.mem.reserve(static_cast<std::size_t>(machine.size()));
   for (int r = 0; r < machine.size(); ++r) {
@@ -566,7 +585,7 @@ void DurableCheckpointer::save(const std::vector<LivePart>& parts,
     machine.trace().record(
         {.time = machine.max_clock(),
          .kind = mpsim::EventKind::Checkpoint,
-         .rank = parts.empty() ? 0 : parts.front().ranks.front(),
+         .rank = parts.empty() ? 0 : parts.front().group.rank(0),
          .group_base = 0,
          .group_size = machine.size(),
          .words = static_cast<double>(bytes) / 4.0,
@@ -590,7 +609,6 @@ bool resume_from_checkpoint(ParContext& ctx, const std::string& formulation,
   if (!opt.resume || opt.ckpt_dir.empty()) return false;
   const obs::PhaseScope phase(ctx.profiler(), "resume");
   mpsim::Machine& machine = ctx.machine();
-  const mpsim::CostModel& cm = machine.cost();
 
   const CheckpointStore store(opt.ckpt_dir, opt.ckpt_keep);
   int skipped = 0;
@@ -644,20 +662,47 @@ bool resume_from_checkpoint(ParContext& ctx, const std::string& formulation,
     throw std::runtime_error("resume: epoch " + std::to_string(epoch) +
                              " tree rejected: " + err);
   }
+  // Each node must hold exactly the rows the tree routes to it: as many
+  // as its class counts, none listed twice across the frontier, each one
+  // reaching it from the root. Any other set grows a different tree. A
+  // node's rows are all checked against the dataset before any is read.
+  const dtree::Tree& tree = ctx.tree();
+  const data::Dataset& ds = ctx.dataset();
+  std::vector<char> listed(ds.num_rows(), 0);
   for (CkptPart& p : out->parts) {
     for (NodeWork& nw : p.frontier) {
-      if (nw.node_id >= ctx.tree().num_nodes() ||
-          !ctx.tree().node(nw.node_id).is_leaf()) {
-        throw std::runtime_error(
-            "resume: frontier names node " + std::to_string(nw.node_id) +
-            " which is not a leaf of the checkpointed tree");
+      const std::string node = "resume: frontier node " +
+                               std::to_string(nw.node_id);
+      if (nw.node_id >= tree.num_nodes() || !tree.node(nw.node_id).is_leaf()) {
+        throw std::runtime_error(node + " is not a leaf of the tree");
       }
       for (const data::RowId row : nw.rows) {
-        if (row >= ctx.dataset().num_rows()) {
+        if (row >= ds.num_rows()) {
           throw std::runtime_error(
-              "resume: frontier names row " + std::to_string(row) +
-              " of a " + std::to_string(ctx.dataset().num_rows()) +
-              "-row dataset");
+              node + " lists row " + std::to_string(row) + " of a " +
+              std::to_string(ds.num_rows()) + "-row dataset");
+        }
+      }
+      const std::int64_t counted = tree.node(nw.node_id).num_records();
+      if (nw.total_records() != counted) {
+        throw std::runtime_error(node + " holds " +
+                                 std::to_string(nw.total_records()) +
+                                 " rows; the tree counts " +
+                                 std::to_string(counted));
+      }
+      for (const data::RowId row : nw.rows) {
+        int id = tree.root();
+        while (!tree.node(id).is_leaf()) {
+          id = tree.node(id).first_child + tree.route(id, ds, row);
+        }
+        if (id != nw.node_id) {
+          throw std::runtime_error(node + " lists row " + std::to_string(row) +
+                                   ", which the tree routes to node " +
+                                   std::to_string(id));
+        }
+        if (listed[row]++ != 0) {
+          throw std::runtime_error(node + " lists row " + std::to_string(row) +
+                                   " twice");
         }
       }
       // The file holds rows only: each node gathers its cells once.
@@ -679,18 +724,11 @@ bool resume_from_checkpoint(ParContext& ctx, const std::string& formulation,
   std::int64_t records = 0;
   for (const CkptPart& p : out->parts) {
     for (std::size_t m = 0; m < p.ranks.size(); ++m) {
-      std::int64_t n = 0;
-      for (const NodeWork& nw : p.frontier) {
-        n += nw.member_records(static_cast<int>(m));
-      }
+      const std::int64_t n =
+          frontier_member_records(p.frontier, static_cast<int>(m));
       if (n == 0) continue;
       records += n;
-      const mpsim::Rank r = p.ranks[m];
-      const mpsim::Time t =
-          cm.t_io * static_cast<double>(n) * ctx.record_words();
-      machine.charge_io(r, t);
-      ctx.mem_records_alloc(r, n);
-      io_total += t;
+      io_total += ctx.read_records(p.ranks[m], n);
     }
   }
 

@@ -15,14 +15,16 @@
 // epoch is used instead — a bad file is never trusted, only skipped.
 //
 // Resume (ParOptions::resume) rebuilds the tree by replaying expand()
-// over the parsed canonical nodes (dtree::tree_from_nodes), re-charges
-// the restore I/O at t_io per record word, and hands the builders back
-// their worklists. Tree content is a pure function of the dataset and
-// grow options — partitioning, virtual clocks and rng state affect only
-// *when* work happens, never which split wins — so a resumed run's final
-// model digest is bit-identical to an uninterrupted run's even though
-// its clocks differ. That digest identity is the acceptance criterion
-// (DESIGN.md §13); clock state is deliberately not checkpointed.
+// over the parsed canonical nodes (dtree::tree_from_nodes), checks each
+// saved row against its node, re-charges the restore I/O at t_io per
+// record word, and hands the builders back their worklists, each part on
+// the ranks it was saved with. Tree content is a pure function of the
+// dataset and grow options — partitioning, virtual clocks and rng state
+// affect only *when* work happens, never which split wins — so a resumed
+// run's final model digest is bit-identical to an uninterrupted run's
+// even though its clocks differ. That digest identity is the acceptance
+// criterion (DESIGN.md §13); clock state is deliberately not
+// checkpointed.
 #pragma once
 
 #include <cstdint>
@@ -34,26 +36,17 @@
 
 namespace pdt::core {
 
-/// One processor partition's share of a checkpoint: its member ranks,
-/// the hybrid's accumulated communication cost since the last split
-/// (zero for sync/partitioned), and the frontier it was about to expand.
-/// On disk the frontier's node ids are canonical (level-order over
-/// reachable nodes); DurableCheckpointer::save remaps from arena ids,
-/// and the tree a resume rebuilds has arena == canonical, so loaded
-/// ids are valid without a reverse map.
+/// One core::Part as the file holds it, with no Machine: its member
+/// ranks (ascending), the hybrid's accumulated communication cost since
+/// the last split (zero for sync/partitioned), and the frontier it was
+/// about to expand. On disk the frontier's node ids are canonical
+/// (level-order over reachable nodes); DurableCheckpointer::save remaps
+/// from arena ids, and the tree a resume rebuilds has arena == canonical,
+/// so loaded ids are valid without a reverse map.
 struct CkptPart {
   std::vector<mpsim::Rank> ranks;
   double acc_comm = 0.0;
   std::vector<NodeWork> frontier;
-};
-
-/// A live partition handed to DurableCheckpointer::save: the same fields
-/// as CkptPart, by reference, so its rows are written straight from the
-/// builder's frontier (cells are never written).
-struct LivePart {
-  const std::vector<mpsim::Rank>& ranks;
-  double acc_comm = 0.0;
-  const std::vector<NodeWork>& frontier;
 };
 
 /// Everything one pdt-ckpt-v1 epoch holds. `tree_json` is the exact
@@ -86,9 +79,10 @@ struct RunSnapshot {
 
 /// Parse + validate pdt-ckpt-v1 bytes: header structure, section
 /// framing, per-section digests, meta completeness, state consistency
-/// (rank bounds, no rank twice in one group, member counts). Returns ""
-/// on success, else a description of the first problem — callers treat
-/// any non-empty return as "this epoch is corrupt, skip back".
+/// (each group's ranks in bounds and strictly ascending, member counts).
+/// Returns "" on success, else a description of the first problem —
+/// callers treat any non-empty return as "this epoch is corrupt, skip
+/// back".
 [[nodiscard]] std::string parse_ckpt(std::string_view text, RunSnapshot* out);
 
 /// The on-disk epoch store: `<dir>/ckpt-<epoch>.pdt` files plus a
@@ -132,43 +126,48 @@ class CheckpointStore {
 /// Builder-side driver: constructed once per build_* call, it numbers
 /// epochs after the newest already on disk (so a resumed run continues
 /// the sequence), and save() snapshots the live ParContext + worklist,
-/// charges each rank t_io per record word of frontier shard it writes
-/// (staged through Scratch, same accounting as the in-memory
-/// take_checkpoint), commits the epoch and honours the
-/// ckpt_crash_epoch test hook (std::_Exit(137) after commit — a
-/// SIGKILL stand-in that leaves only committed files behind).
+/// charges each rank ParContext::write_records for its frontier shard,
+/// commits the epoch and honours the ckpt_crash_epoch test hook
+/// (std::_Exit(137) after commit — a SIGKILL stand-in that leaves only
+/// committed files behind).
 class DurableCheckpointer {
  public:
   DurableCheckpointer(ParContext& ctx, std::string formulation);
 
-  [[nodiscard]] bool enabled() const { return !store_.dir().empty(); }
+  /// The worklist to build from: the resumed parts, with their idle
+  /// groups appended to `idle` when given, or else the whole-machine
+  /// root part (ParContext::initial_root).
+  [[nodiscard]] std::vector<Part> start(
+      std::vector<mpsim::Group>* idle = nullptr);
 
-  /// Checkpoint the current cut. `parts` carry arena node ids (written
-  /// as canonical ones); `idle` lists the hybrid's idle groups.
-  /// Throws std::runtime_error when the write cannot be committed —
-  /// a requested durability guarantee that silently is not one would
-  /// be worse than failing the run.
-  void save(const std::vector<LivePart>& parts,
-            std::vector<std::vector<mpsim::Rank>> idle = {});
+  /// Checkpoint the current cut; a no-op unless ckpt_dir is set. `parts`
+  /// carry arena node ids (written as canonical ones); `idle` lists the
+  /// hybrid's idle groups. Throws std::runtime_error when the write
+  /// cannot be committed — a requested durability guarantee that
+  /// silently is not one would be worse than failing the run.
+  void save(const std::vector<Part>& parts,
+            const std::vector<mpsim::Group>& idle = {});
 
  private:
+  [[nodiscard]] bool enabled() const { return !store_.dir().empty(); }
+
   ParContext* ctx_;
   std::string formulation_;
   CheckpointStore store_;
   int epoch_ = 0;
 };
 
-/// Resume `ctx` from the newest valid epoch in options().ckpt_dir.
-/// Returns false (leaving ctx untouched) when resume is off or no valid
-/// epoch exists — the build starts from scratch. On success: the tree
-/// is rebuilt from the canonical bytes, run counters restored, each
-/// rank's Records account re-charged for the rows it re-reads (at t_io
-/// per record word), recovery.resume_* filled in, and `out` holds the
-/// snapshot whose parts/idle the caller turns back into its worklist,
-/// every frontier node with its cells gathered.
+/// Resume `ctx` from the newest valid epoch in options().ckpt_dir (for
+/// DurableCheckpointer::start). Returns false (leaving ctx untouched)
+/// when resume is off or no valid epoch exists — the build starts from
+/// scratch. On success: the tree is rebuilt from the canonical bytes, run
+/// counters restored, each rank's rows re-read (read_records),
+/// recovery.resume_* filled in, and `out` holds the snapshot whose
+/// parts/idle become the worklist, every node with its cells gathered.
 /// Throws std::runtime_error when the checkpoint is valid but
 /// incompatible with this run (different formulation, P, seed or
-/// dataset record width, or a row past the dataset) — that is a caller
+/// dataset record width, a row past the dataset, or a node whose rows
+/// are not exactly the ones the tree routes to it) — that is a caller
 /// bug, not corruption.
 [[nodiscard]] bool resume_from_checkpoint(ParContext& ctx,
                                           const std::string& formulation,

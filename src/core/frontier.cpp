@@ -552,6 +552,24 @@ NodeWork ParContext::initial_root(const mpsim::Group& g) {
   return root;
 }
 
+mpsim::Time ParContext::write_records(mpsim::Rank r, std::int64_t n) {
+  const std::int64_t staging = n * record_bytes_;
+  machine_->alloc_bytes(r, mpsim::MemTag::Scratch, staging);
+  const mpsim::Time t =
+      machine_->cost().t_io * static_cast<double>(n) * record_words_;
+  machine_->charge_io(r, t);
+  machine_->free_bytes(r, mpsim::MemTag::Scratch, staging);
+  return t;
+}
+
+mpsim::Time ParContext::read_records(mpsim::Rank r, std::int64_t n) {
+  const mpsim::Time t =
+      machine_->cost().t_io * static_cast<double>(n) * record_words_;
+  machine_->charge_io(r, t);
+  mem_records_alloc(r, n);
+  return t;
+}
+
 std::int64_t frontier_records(const std::vector<NodeWork>& f) {
   std::int64_t n = 0;
   for (const auto& nw : f) n += nw.total_records();

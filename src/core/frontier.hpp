@@ -83,6 +83,16 @@ using MemberPieces = std::vector<std::vector<RowRange>>;
 [[nodiscard]] NodeWork spread_over(NodeWork& nw, std::span<const int> members,
                                    std::vector<std::int64_t>& moved);
 
+/// One entry of a formulation's worklist: a processor partition, the
+/// frontier it expands next and, for the hybrid, the communication cost
+/// it accumulated since its last split (Section 4.2's split criterion).
+/// The sync formulation is a one-part worklist.
+struct Part {
+  mpsim::Group group;
+  std::vector<NodeWork> frontier;
+  mpsim::Time acc_comm = 0.0;
+};
+
 /// Host-only sibling-subtraction cache (see expand_level). After a split,
 /// the parent's reduced table is kept under the parent's tree id until
 /// its children are histogrammed: each accumulated child is subtracted
@@ -197,6 +207,14 @@ class ParContext {
     machine_->free_bytes(from, mpsim::MemTag::Records, n * record_bytes_);
     machine_->alloc_bytes(to, mpsim::MemTag::Records, n * record_bytes_);
   }
+
+  /// Write `n` of rank `r`'s records to stable storage: staged through a
+  /// Scratch buffer, t_io per record word. Returns the time charged.
+  mpsim::Time write_records(mpsim::Rank r, std::int64_t n);
+  /// Read `n` records from stable storage into rank `r`'s local store:
+  /// t_io per record word, then the rows enter its Records account.
+  /// Returns the time charged.
+  mpsim::Time read_records(mpsim::Rank r, std::int64_t n);
 
   /// Section-4 analytic per-rank peak prediction for this run's N, P and
   /// communication-buffer size (computed once at construction).

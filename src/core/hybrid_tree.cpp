@@ -13,12 +13,6 @@ namespace pdt::core {
 
 namespace {
 
-struct HPartition {
-  mpsim::Group group;
-  std::vector<NodeWork> frontier;
-  mpsim::Time acc_comm = 0.0;  ///< Sum(Communication Cost) since last split
-};
-
 /// Allocate frontier nodes to the two halves with roughly equal record
 /// totals. Node order is randomized first (the paper credits the largely
 /// randomized node allocation for the hybrid's good load balance), then a
@@ -63,9 +57,8 @@ void balance_half(ParContext& ctx, const mpsim::Group& g,
 
 /// Split a partition in two: allocate nodes, run the moving phase across
 /// partner processors of the two half subcubes, then balance each half.
-std::pair<HPartition, HPartition> split_partition(ParContext& ctx,
-                                                  HPartition part,
-                                                  data::Rng& rng) {
+std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
+                                      data::Rng& rng) {
   const int p = part.group.size();
   const int h = p / 2;
   const std::vector<int> side = allocate_nodes(part.frontier, rng);
@@ -114,8 +107,8 @@ std::pair<HPartition, HPartition> split_partition(ParContext& ctx,
          .detail = "partition halved: " + std::to_string(fa.size()) + " + " +
                    std::to_string(fb.size()) + " frontier nodes"});
   }
-  return {HPartition{std::move(ga), std::move(fa), 0.0},
-          HPartition{std::move(gb), std::move(fb), 0.0}};
+  return {Part{std::move(ga), std::move(fa)},
+          Part{std::move(gb), std::move(fb)}};
 }
 
 /// The paper's rejoin (Sections 3.3 / 4.2): an idle partition of the same
@@ -124,8 +117,8 @@ std::pair<HPartition, HPartition> split_partition(ParContext& ctx,
 /// of its frontier (by records) to the idle group: busy processor i ships
 /// the other side's rows to idle processor i, each side then balances
 /// internally. Returns the idle group's new partition.
-HPartition rejoin_split(ParContext& ctx, HPartition& busy, mpsim::Group idle,
-                        data::Rng& rng) {
+Part rejoin_split(ParContext& ctx, Part& busy, mpsim::Group idle,
+                  data::Rng& rng) {
   const int p = busy.group.size();
   assert(idle.size() == p);
   const std::vector<int> side = allocate_nodes(busy.frontier, rng);
@@ -186,7 +179,7 @@ HPartition rejoin_split(ParContext& ctx, HPartition& busy, mpsim::Group idle,
   if (ctx.options().load_balance) {
     balance_half(ctx, busy.group, busy.frontier);
   }
-  HPartition helper{std::move(idle), std::move(give_frontier), 0.0};
+  Part helper{std::move(idle), std::move(give_frontier)};
   if (ctx.options().load_balance) {
     balance_half(ctx, helper.group, helper.frontier);
   }
@@ -213,40 +206,16 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
   data::Rng rng(opt.seed ^ 0x9E3779B97F4A7C15ULL);
   const mpsim::CostModel& cm = machine.cost();
 
+  // A resumed run restarts its clocks at zero, so the earliest-horizon
+  // pick below may visit partitions in a different order than the
+  // interrupted run — that reorders *when* nodes expand, never which
+  // split wins, so the final tree digest still matches an uninterrupted
+  // run's.
   DurableCheckpointer ckpt(ctx, "hybrid");
-  std::vector<HPartition> active;
   std::vector<mpsim::Group> idle;
-  RunSnapshot snap;
-  if (resume_from_checkpoint(ctx, "hybrid", &snap)) {
-    // Clocks restart at zero, so the earliest-horizon pick below may
-    // visit partitions in a different order than the interrupted run —
-    // that reorders *when* nodes expand, never which split wins, so the
-    // final tree digest still matches an uninterrupted run's.
-    for (CkptPart& p : snap.parts) {
-      active.push_back(HPartition{mpsim::Group(machine, std::move(p.ranks)),
-                                  std::move(p.frontier), p.acc_comm});
-    }
-    for (std::vector<mpsim::Rank>& g : snap.idle) {
-      idle.emplace_back(machine, std::move(g));
-    }
-  } else {
-    mpsim::Group all = mpsim::Group::whole(machine);
-    std::vector<NodeWork> frontier;
-    frontier.push_back(ctx.initial_root(all));
-    active.push_back(HPartition{std::move(all), std::move(frontier), 0.0});
-  }
-
+  std::vector<Part> active = ckpt.start(&idle);
   while (!active.empty()) {
-    if (ckpt.enabled()) {
-      std::vector<LivePart> parts;
-      for (const HPartition& p : active) {
-        parts.push_back(LivePart{p.group.ranks(), p.acc_comm, p.frontier});
-      }
-      std::vector<std::vector<mpsim::Rank>> idle_ranks;
-      idle_ranks.reserve(idle.size());
-      for (const mpsim::Group& g : idle) idle_ranks.push_back(g.ranks());
-      ckpt.save(parts, std::move(idle_ranks));
-    }
+    ckpt.save(active, idle);
     // Asynchronous partitions: advance the one earliest in virtual time.
     std::size_t pick = 0;
     for (std::size_t i = 1; i < active.size(); ++i) {
@@ -254,7 +223,7 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
         pick = i;
       }
     }
-    HPartition part = std::move(active[pick]);
+    Part part = std::move(active[pick]);
     active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
 
     part.frontier = expand_level_ft(ctx, part.group, part.frontier,
@@ -291,8 +260,7 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
           mpsim::Group helper_group =
               std::move(idle[static_cast<std::size_t>(idle_match)]);
           idle.erase(idle.begin() + idle_match);
-          HPartition helper =
-              rejoin_split(ctx, part, std::move(helper_group), rng);
+          Part helper = rejoin_split(ctx, part, std::move(helper_group), rng);
           active.push_back(std::move(part));
           active.push_back(std::move(helper));
           continue;

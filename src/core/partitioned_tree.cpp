@@ -12,11 +12,6 @@ namespace pdt::core {
 
 namespace {
 
-struct Partition {
-  mpsim::Group group;
-  std::vector<NodeWork> frontier;
-};
-
 /// Case 1: pack `children` into exactly `parts` node groups with roughly
 /// equal record totals (LPT). Returns part id per child.
 std::vector<int> pack_nodes_lpt(const std::vector<NodeWork>& children,
@@ -128,31 +123,10 @@ ParResult build_partitioned(const data::Dataset& ds, const ParOptions& opt) {
   ParContext ctx(ds, opt, machine);
 
   DurableCheckpointer ckpt(ctx, "partitioned");
-  std::vector<Partition> work;
-  RunSnapshot snap;
-  if (resume_from_checkpoint(ctx, "partitioned", &snap)) {
-    // The worklist was saved in vector order, so rebuilding it in the
-    // same order preserves the LIFO pop sequence across the restart.
-    for (CkptPart& p : snap.parts) {
-      work.push_back(Partition{mpsim::Group(machine, std::move(p.ranks)),
-                               std::move(p.frontier)});
-    }
-  } else {
-    mpsim::Group all = mpsim::Group::whole(machine);
-    std::vector<NodeWork> frontier;
-    frontier.push_back(ctx.initial_root(all));
-    work.push_back(Partition{std::move(all), std::move(frontier)});
-  }
-
+  std::vector<Part> work = ckpt.start();
   while (!work.empty()) {
-    if (ckpt.enabled()) {
-      std::vector<LivePart> parts;
-      for (const Partition& p : work) {
-        parts.push_back(LivePart{p.group.ranks(), 0.0, p.frontier});
-      }
-      ckpt.save(parts);
-    }
-    Partition part = std::move(work.back());
+    ckpt.save(work);
+    Part part = std::move(work.back());
     work.pop_back();
 
     if (part.group.size() == 1) {
@@ -204,8 +178,8 @@ ParResult build_partitioned(const data::Dataset& ds, const ParOptions& opt) {
       for (const int m : part_members[q]) {
         ranks.push_back(part.group.rank(m));
       }
-      work.push_back(Partition{mpsim::Group(machine, std::move(ranks)),
-                               std::move(shuffled[q])});
+      work.push_back(Part{mpsim::Group(machine, std::move(ranks)),
+                          std::move(shuffled[q])});
     }
   }
 

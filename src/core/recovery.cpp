@@ -40,7 +40,6 @@ LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
                                 const std::vector<NodeWork>& f, int level) {
   const obs::PhaseScope phase(ctx.profiler(), "checkpoint");
   mpsim::Machine& machine = ctx.machine();
-  const mpsim::CostModel& cm = machine.cost();
 
   // Synchronize first so the snapshot is a consistent cut of the
   // partition (no member is mid-level when its state is captured).
@@ -55,19 +54,10 @@ LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
   mpsim::Time io_total = 0.0;
   std::int64_t records = 0;
   for (int m = 0; m < g.size(); ++m) {
-    const mpsim::Rank r = g.rank(m);
     const std::int64_t n = frontier_member_records(f, m);
     records += n;
-    const std::int64_t staging = n * ctx.record_bytes();
-    // The member serializes its shard through a staging buffer and pays
-    // t_io per word written to stable storage.
-    machine.alloc_bytes(r, mpsim::MemTag::Scratch, staging);
-    const mpsim::Time t =
-        cm.t_io * static_cast<double>(n) * ctx.record_words();
-    machine.charge_io(r, t);
-    machine.free_bytes(r, mpsim::MemTag::Scratch, staging);
-    io_total += t;
-    ck.bytes += staging;
+    io_total += ctx.write_records(g.rank(m), n);
+    ck.bytes += n * ctx.record_bytes();
   }
   // Snapshot the byte accounts after the staging round-trips, so restoring
   // to the snapshot never resurrects checkpoint scratch.
@@ -204,10 +194,7 @@ void recover_from_failure(ParContext& ctx, mpsim::Group& g,
   }
   for (int s = 0; s < q; ++s) {
     const std::int64_t n = received[static_cast<std::size_t>(s)];
-    if (n == 0) continue;
-    machine.charge_io(survivors[static_cast<std::size_t>(s)],
-                      cm.t_io * static_cast<double>(n) * ctx.record_words());
-    ctx.mem_records_alloc(survivors[static_cast<std::size_t>(s)], n);
+    if (n > 0) ctx.read_records(survivors[static_cast<std::size_t>(s)], n);
   }
 
   // Shrink to the survivor group, then even out per-member totals (the

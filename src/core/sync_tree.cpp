@@ -39,26 +39,20 @@ ParResult collect_result(ParContext& ctx) {
 ParResult build_sync(const data::Dataset& ds, const ParOptions& opt) {
   mpsim::Machine machine(opt.num_procs, opt.cost);
   ParContext ctx(ds, opt, machine);
-  mpsim::Group all = mpsim::Group::whole(machine);
 
+  // One partition: the whole machine, until a fail-stop shrinks it.
   DurableCheckpointer ckpt(ctx, "sync");
-  std::vector<NodeWork> frontier;
-  RunSnapshot snap;
-  if (resume_from_checkpoint(ctx, "sync", &snap)) {
-    if (!snap.parts.empty()) {
-      frontier = std::move(snap.parts.front().frontier);
-    }
-  } else {
-    frontier.push_back(ctx.initial_root(all));
-  }
-  while (!frontier.empty()) {
-    if (ckpt.enabled()) {
-      ckpt.save({LivePart{all.ranks(), 0.0, frontier}});
-    }
+  std::vector<Part> work = ckpt.start();
+  while (!work.empty()) {
+    ckpt.save(work);
+    Part& part = work.back();
     ++ctx.levels;
-    frontier = expand_level_ft(ctx, all, frontier);
+    part.frontier = expand_level_ft(ctx, part.group, part.frontier);
+    if (part.frontier.empty()) {
+      part.group.barrier();
+      work.pop_back();
+    }
   }
-  all.barrier();
   return collect_result(ctx);
 }
 

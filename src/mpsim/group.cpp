@@ -11,29 +11,13 @@
 
 namespace pdt::mpsim {
 
-Group::Group(Machine& m, Subcube cube)
-    : machine_(&m), ranks_(cube.ranks()), is_subcube_(true), cube_(cube) {
-  assert(cube.valid());
-  assert(cube.base + cube.size <= m.size());
-}
-
 Group::Group(Machine& m, std::vector<Rank> ranks)
     : machine_(&m), ranks_(std::move(ranks)) {
   assert(!ranks_.empty());
-  // Detect whether the rank list happens to be an aligned subcube, so that
-  // merged groups that reconstitute a subcube regain cheap split semantics.
   std::sort(ranks_.begin(), ranks_.end());
-  const int n = static_cast<int>(ranks_.size());
-  const bool contiguous = ranks_.back() - ranks_.front() + 1 == n;
-  Subcube cube{ranks_.front(), n};
-  if (contiguous && cube.valid()) {
-    is_subcube_ = true;
-    cube_ = cube;
-  }
 }
 
 Group Group::whole(Machine& m) {
-  if (is_pow2(m.size())) return Group(m, Subcube{0, m.size()});
   std::vector<Rank> all(static_cast<std::size_t>(m.size()));
   std::iota(all.begin(), all.end(), 0);
   return Group(m, std::move(all));
@@ -475,10 +459,6 @@ void Group::all_to_all_personalized(
 
 std::pair<Group, Group> Group::halves() const {
   assert(size() >= 2);
-  if (is_subcube_) {
-    auto [a, b] = cube_.halves();
-    return {Group(*machine_, a), Group(*machine_, b)};
-  }
   const int half = size() / 2;
   std::vector<Rank> lo(ranks_.begin(), ranks_.begin() + half);
   std::vector<Rank> hi(ranks_.begin() + half, ranks_.end());

@@ -1,10 +1,11 @@
 // A processor partition (Section 3.3 calls these "partitions") and its
 // collective operations.
 //
-// A Group is normally an aligned hypercube subcube; after an idle-partition
-// rejoin it may be an arbitrary rank set, in which case collective costs
-// use ceil(log2 |group|) dimensions (the paper's virtual-hypercube
-// embedding argument, Section 3.3).
+// A Group is its ascending rank list. Splitting a partition halves the
+// list; a recovery or an idle-partition rejoin may leave any rank set.
+// Collective costs use ceil(log2 |group|) hypercube dimensions whatever
+// the ranks (the paper's virtual-hypercube embedding argument, Section
+// 3.3), and the members pair up by index, not by rank address.
 //
 // Collectives have barrier semantics: every member's clock first advances
 // to the group maximum (waiting ranks accrue idle time — this is where the
@@ -41,9 +42,7 @@ struct Transfer {
 
 class Group {
  public:
-  /// Group over an aligned subcube.
-  Group(Machine& m, Subcube cube);
-  /// Group over an explicit rank list (used after rejoins).
+  /// Group over a rank list, kept sorted ascending.
   Group(Machine& m, std::vector<Rank> ranks);
   /// Convenience: the whole machine as one group.
   static Group whole(Machine& m);
@@ -52,9 +51,6 @@ class Group {
   [[nodiscard]] int size() const { return static_cast<int>(ranks_.size()); }
   [[nodiscard]] Rank rank(int member) const { return ranks_[static_cast<std::size_t>(member)]; }
   [[nodiscard]] const std::vector<Rank>& ranks() const { return ranks_; }
-  [[nodiscard]] bool is_subcube() const { return is_subcube_; }
-  /// Only valid when is_subcube().
-  [[nodiscard]] Subcube subcube() const { return cube_; }
   [[nodiscard]] int dimension() const { return ceil_log2(size()); }
 
   /// Max clock over members.
@@ -80,11 +76,11 @@ class Group {
   /// Cost-only one-to-all broadcast of `words` words.
   void charge_broadcast(double words) const;
 
-  /// The "moving" phase of a partition split (Eq. 3): member i exchanges
-  /// with its partner across the highest free dimension of this subcube.
-  /// words_out[i] is the number of words member i sends to its partner;
-  /// pair cost = t_s + t_w * max(out_i, out_partner). Barrier first.
-  /// Requires an even-sized group (subcube when possible).
+  /// The "moving" phase of a partition split (Eq. 3): member i of the
+  /// lower half exchanges with member i of the upper half (its partner
+  /// across the split). words_out[i] is the number of words member i
+  /// sends to its partner; pair cost = t_s + t_w * max(out_i,
+  /// out_partner). Barrier first. Requires an even-sized group.
   void pairwise_exchange(const std::vector<double>& words_out) const;
 
   /// Plan an intra-group load balance: given per-member item counts,
@@ -107,7 +103,8 @@ class Group {
   void all_to_all_personalized(
       const std::vector<std::vector<double>>& words_out) const;
 
-  /// Split a subcube group into its two half subcubes.
+  /// Split the rank list into its lower and upper halves (the two half
+  /// subcubes of an aligned subcube).
   [[nodiscard]] std::pair<Group, Group> halves() const;
 
  private:
@@ -130,8 +127,6 @@ class Group {
 
   Machine* machine_;
   std::vector<Rank> ranks_;
-  bool is_subcube_ = false;
-  Subcube cube_{};
 };
 
 }  // namespace pdt::mpsim

@@ -1,42 +1,14 @@
-// Hypercube topology helpers.
+// Processor ranks of the simulated machine.
 //
-// The paper assumes processors are connected in a hypercube (Section 4.1)
-// and that partition splits halve a subcube. A d-dimensional subcube is a
-// set of ranks sharing all address bits except d free (low) bits; we use
-// aligned contiguous rank ranges [base, base + 2^d), which are exactly the
-// subcubes whose free dimensions are the low bits.
+// The paper assumes a hypercube interconnect (Section 4.1). The simulator
+// needs no address arithmetic for it: a processor partition is its
+// ascending rank list (mpsim::Group), halving one splits that list in
+// two, and a collective over p members costs ceil(log2 p) hypercube
+// rounds (mpsim::ceil_log2).
 #pragma once
-
-#include <cassert>
-#include <vector>
 
 namespace pdt::mpsim {
 
 using Rank = int;
-
-/// True iff p is a power of two (p >= 1).
-[[nodiscard]] constexpr bool is_pow2(int p) { return p >= 1 && (p & (p - 1)) == 0; }
-
-/// Smallest power of two >= p.
-[[nodiscard]] int next_pow2(int p);
-
-/// A subcube of a hypercube: the aligned rank range [base, base + size).
-/// size must be a power of two and base a multiple of size.
-struct Subcube {
-  Rank base = 0;
-  int size = 1;
-
-  [[nodiscard]] int dimension() const;
-  /// The two half subcubes obtained by fixing the highest free bit.
-  [[nodiscard]] std::pair<Subcube, Subcube> halves() const;
-  /// Partner of `r` across the highest free dimension (the rank it
-  /// exchanges with in the "moving" phase of a split).
-  [[nodiscard]] Rank partner(Rank r) const;
-  /// All member ranks, ascending.
-  [[nodiscard]] std::vector<Rank> ranks() const;
-  [[nodiscard]] bool contains(Rank r) const { return r >= base && r < base + size; }
-  /// True iff base/size describe a legal aligned subcube.
-  [[nodiscard]] bool valid() const;
-};
 
 }  // namespace pdt::mpsim

@@ -3,10 +3,11 @@
 // bit-identical to the uninterrupted run's (and to the serial tree) —
 // the DESIGN.md §13 acceptance criterion. Corrupt or truncated epochs
 // are skipped back, never trusted; incompatible checkpoints (different
-// formulation, P, seed, or rows the dataset lacks) are a caller bug and
-// throw.
+// formulation, P, seed, rows the dataset lacks, or rows that do not
+// belong to their node) are a caller bug and throw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -17,6 +18,8 @@
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
+#include "dtree/serialize.hpp"
+#include "mpsim/fault.hpp"
 
 namespace pdt::core {
 namespace {
@@ -312,6 +315,10 @@ TEST(Resume, GroupListingARankTwiceIsSkippedBack) {
   snap.idle = {{0, 1}};
   EXPECT_EQ(parse_ckpt(ckpt_text(snap), &parsed), "");
   snap.idle.clear();
+  // Groups keep their ranks ascending, and member m of every node is the
+  // group's m-th rank, so a reordered list is as corrupt.
+  snap.parts[0].ranks = {1, 0, 2, 3};
+  EXPECT_NE(parse_ckpt(ckpt_text(snap), &parsed), "");
   snap.parts[0].ranks = {0, 0, 2, 3};
   const std::string bytes = ckpt_text(snap);
   EXPECT_NE(parse_ckpt(bytes, &parsed), "");
@@ -329,6 +336,157 @@ TEST(Resume, GroupListingARankTwiceIsSkippedBack) {
     EXPECT_EQ(m.live_for(mpsim::MemTag::Records), 0);
   }
   fs::remove_all(dir);
+}
+
+/// Epoch `e` of the store in `dir`, parsed.
+RunSnapshot read_epoch(const fs::path& dir, int e) {
+  RunSnapshot snap;
+  const fs::path path = CheckpointStore(dir.string(), 1000).epoch_path(e);
+  EXPECT_EQ(parse_ckpt(slurp(path), &snap), "");
+  return snap;
+}
+
+/// True when some part or idle group of `snap` lists rank `r`.
+bool lists_rank(const RunSnapshot& snap, mpsim::Rank r) {
+  for (const CkptPart& p : snap.parts) {
+    if (std::find(p.ranks.begin(), p.ranks.end(), r) != p.ranks.end()) {
+      return true;
+    }
+  }
+  for (const std::vector<mpsim::Rank>& g : snap.idle) {
+    if (std::find(g.begin(), g.end(), r) != g.end()) return true;
+  }
+  return false;
+}
+
+struct AfterRecoveryConfig {
+  Formulation formulation;
+  int level;  // rank 3 fail-stops when its group enters this level
+};
+
+class ResumeAfterRecoveryTest
+    : public ::testing::TestWithParam<AfterRecoveryConfig> {};
+
+TEST_P(ResumeAfterRecoveryTest, ResumesOnTheSavedSurvivorGroups) {
+  // Rank 3 fail-stops, so later epochs hold the survivor groups a
+  // recovery shrank. A resume must rebuild each part on the ranks it was
+  // saved with, not on the whole machine.
+  const Formulation f = GetParam().formulation;
+  const data::Dataset ds = workload();
+  const fs::path dir =
+      scratch_dir(std::string("after_recovery_") + to_string(f));
+  mpsim::FaultPlan plan;
+  plan.fail_stop(3, GetParam().level);
+  ParOptions opt;
+  opt.num_procs = 4;
+  opt.fault = &plan;
+  opt.ckpt_dir = dir.string();
+  opt.ckpt_keep = 1000;
+  const ParResult full = build(f, ds, opt);
+  const ParResult serial = build_serial(ds, ParOptions{});
+  ASSERT_EQ(full.recovery.failures, 1);
+  ASSERT_TRUE(full.tree.same_as(serial.tree));
+
+  const int last = full.recovery.durable_checkpoints - 1;
+  int first_after = -1;
+  for (int e = 0; e <= last && first_after < 0; ++e) {
+    if (!lists_rank(read_epoch(dir, e), 3)) first_after = e;
+  }
+  ASSERT_GE(first_after, 1) << "no epoch was saved after the recovery";
+  for (const int cut : {first_after, last}) {
+    ParOptions ropt;
+    ropt.num_procs = 4;
+    ropt.ckpt_dir = dir.string();
+    ropt.ckpt_keep = 1000;
+    ropt.resume = true;
+    ropt.resume_epoch = cut;
+    const ParResult resumed = build(f, ds, ropt);
+    EXPECT_TRUE(resumed.recovery.resumed);
+    EXPECT_EQ(resumed.recovery.resume_epoch, cut);
+    EXPECT_EQ(dtree::model_digest(resumed.tree),
+              dtree::model_digest(serial.tree))
+        << "resumed from epoch " << cut;
+    for (const mpsim::MemStats& m : resumed.mem) {
+      EXPECT_EQ(m.live_for(mpsim::MemTag::Records), 0)
+          << "resumed from epoch " << cut;
+    }
+  }
+  fs::remove_all(dir);
+}
+
+// On this workload rank 3's partitioned partition finishes before it
+// enters level 2, so there it fails at level 1.
+INSTANTIATE_TEST_SUITE_P(
+    EveryFormulation, ResumeAfterRecoveryTest,
+    ::testing::Values(AfterRecoveryConfig{Formulation::Sync, 2},
+                      AfterRecoveryConfig{Formulation::Partitioned, 1},
+                      AfterRecoveryConfig{Formulation::Hybrid, 2}),
+    [](const ::testing::TestParamInfo<AfterRecoveryConfig>& info) {
+      return std::string(to_string(info.param.formulation));
+    });
+
+/// Resume sync P=4 from epoch 1 after `edit` rewrote its frontier (the
+/// root's children), re-rendered so every section digest is valid. The
+/// resume must throw naming the edited node, and `what` must appear in
+/// the message.
+void expect_rows_rejected(const std::string& tag,
+                          void (*edit)(std::vector<NodeWork>& frontier),
+                          const std::string& what) {
+  const data::Dataset ds = workload();
+  const fs::path dir = scratch_dir(tag);
+  ParOptions opt;
+  opt.num_procs = 4;
+  opt.ckpt_dir = dir.string();
+  opt.ckpt_keep = 1000;
+  (void)build(Formulation::Sync, ds, opt);
+
+  RunSnapshot snap = read_epoch(dir, 1);
+  ASSERT_EQ(snap.parts.size(), 1u);
+  std::vector<NodeWork>& frontier = snap.parts[0].frontier;
+  ASSERT_GE(frontier.size(), 2u);
+  ASSERT_GE(frontier[0].member_records(0), 2);
+  edit(frontier);
+  spit(CheckpointStore(dir.string(), 1000).epoch_path(1), ckpt_text(snap));
+
+  ParOptions ropt = opt;
+  ropt.resume = true;
+  ropt.resume_epoch = 1;
+  try {
+    (void)build(Formulation::Sync, ds, ropt);
+    ADD_FAILURE() << "expected the resume to throw";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("frontier node " + std::to_string(frontier[0].node_id)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Resume, NodeMissingARowIsRejected) {
+  expect_rows_rejected(
+      "dropped_row",
+      [](std::vector<NodeWork>& f) {
+        NodeWork& nw = f[0];
+        nw.rows.erase(nw.rows.begin());
+        for (std::size_t m = 1; m < nw.offsets.size(); ++m) --nw.offsets[m];
+      },
+      "the tree counts");
+}
+
+TEST(Resume, RowListedTwiceIsRejected) {
+  expect_rows_rejected(
+      "duplicated_row",
+      [](std::vector<NodeWork>& f) { f[0].rows[1] = f[0].rows[0]; },
+      " twice");
+}
+
+TEST(Resume, RowOfAnotherNodeIsRejected) {
+  expect_rows_rejected(
+      "swapped_row",
+      [](std::vector<NodeWork>& f) { std::swap(f[0].rows[0], f[1].rows[0]); },
+      "the tree routes to node");
 }
 
 TEST(Resume, DurableCheckpointsOffByDefault) {
