@@ -12,6 +12,7 @@
 #include "dtree/serialize.hpp"
 #include "dtree/sha256.hpp"
 #include "json/json.hpp"
+#include "mpsim/fault.hpp"
 #include "obs/atomic_file.hpp"
 #include "obs/fingerprint.hpp"
 
@@ -546,7 +547,9 @@ void DurableCheckpointer::save(const std::vector<Part>& parts,
   // in-memory take_checkpoint makes, so durable and in-memory
   // checkpoints are comparable in the cost breakdowns. No barrier: the
   // single-threaded simulation makes the cut consistent for free, and a
-  // global sync would serialize the hybrid's asynchronous partitions.
+  // global sync would serialize the hybrid's asynchronous partitions. A
+  // rank that died since its partition's last level writes nothing: the
+  // partition's next checkpoint detects the death and recovers its rows.
   std::vector<std::int64_t> owned(static_cast<std::size_t>(machine.size()), 0);
   for (const Part& p : parts) {
     for (int m = 0; m < p.group.size(); ++m) {
@@ -556,9 +559,10 @@ void DurableCheckpointer::save(const std::vector<Part>& parts,
   }
   mpsim::Time io_total = 0.0;
   std::int64_t records = 0;
+  const mpsim::FaultInjector* inj = machine.fault();
   for (int r = 0; r < machine.size(); ++r) {
     const std::int64_t n = owned[static_cast<std::size_t>(r)];
-    if (n == 0) continue;
+    if (n == 0 || (inj != nullptr && !inj->alive(r))) continue;
     records += n;
     io_total += ctx_->write_records(r, n);
   }

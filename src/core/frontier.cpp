@@ -628,9 +628,7 @@ void move_member_rows(ParContext& ctx, const mpsim::Group& g,
       dst.insert(dst.end(), tail.rbegin(), tail.rend());
     }
     assert(remaining == 0);
-    ctx.records_moved += t.count;
-    ctx.count_records_relocated(t.count);
-    ctx.mem_records_move(g.rank(t.from), g.rank(t.to), t.count);
+    ctx.move_records(g.rank(t.from), g.rank(t.to), t.count);
   }
   for (std::size_t j = 0; j < frontier.size(); ++j) {
     if (!pieces[j].empty()) frontier[j] = regroup(frontier[j], pieces[j]);

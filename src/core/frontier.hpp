@@ -202,7 +202,12 @@ class ParContext {
   void mem_records_free(mpsim::Rank r, std::int64_t n) {
     if (n > 0) machine_->free_bytes(r, mpsim::MemTag::Records, n * record_bytes_);
   }
-  void mem_records_move(mpsim::Rank from, mpsim::Rank to, std::int64_t n) {
+  /// Book `n` rows relocating from rank `from` to rank `to`: records_moved,
+  /// the relocation counter and both Records accounts. Every record move
+  /// books through here; the caller charges the wire.
+  void move_records(mpsim::Rank from, mpsim::Rank to, std::int64_t n) {
+    records_moved += n;
+    count_records_relocated(n);
     if (from == to || n <= 0) return;
     machine_->free_bytes(from, mpsim::MemTag::Records, n * record_bytes_);
     machine_->alloc_bytes(to, mpsim::MemTag::Records, n * record_bytes_);
@@ -316,9 +321,9 @@ void split_rows(ParContext& ctx, NodeWork& nw, const dtree::SplitTest& test,
 
 /// Apply an Eq. 4 balance plan (mpsim::Group::plan_balance) to a
 /// frontier: each transfer takes rows from the tail of member `from`'s
-/// lists into member `to`'s, node by node, and books them in
-/// records_moved, the relocation counter and the members' memory
-/// accounts. Charges no time: the caller charges the transfers.
+/// lists into member `to`'s, node by node, and books them
+/// (ParContext::move_records). Charges no time: the caller charges the
+/// transfers.
 void move_member_rows(ParContext& ctx, const mpsim::Group& g,
                       std::vector<NodeWork>& frontier,
                       const std::vector<mpsim::Transfer>& transfers);

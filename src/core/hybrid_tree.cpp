@@ -1,13 +1,14 @@
 #include "core/hybrid_tree.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <optional>
 
 #include "core/ckpt.hpp"
 #include "core/recovery.hpp"
 #include "core/sync_tree.hpp"
 #include "data/rng.hpp"
-#include "mpsim/comm_ledger.hpp"
 
 namespace pdt::core {
 
@@ -79,16 +80,14 @@ std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
         if (rows == 0 || to_a == (m < h)) continue;
         words_out[static_cast<std::size_t>(m)] +=
             static_cast<double>(rows) * ctx.record_words();
-        ctx.records_moved += rows;
         // The row crosses to its partner across the split dimension.
-        ctx.mem_records_move(part.group.rank(m),
-                             part.group.rank(to_a ? m - h : m + h), rows);
+        ctx.move_records(part.group.rank(m),
+                         part.group.rank(to_a ? m - h : m + h), rows);
       }
       (to_a ? fa : fb).push_back(fold_halves(nw, h));
     }
     part.group.pairwise_exchange(words_out);
   }
-  ctx.count_records_relocated(ctx.records_moved - moved_before);
   ctx.observe_shuffle_records(ctx.records_moved - moved_before);
 
   if (ctx.options().load_balance) {
@@ -111,75 +110,82 @@ std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
           Part{std::move(gb), std::move(fb)}};
 }
 
+/// A retry budget ran out in a rejoin's shipment and killed `dead`. A dead
+/// busy member is absorbed at its partition's next checkpoint
+/// (expand_level_ft). A dead member of the idle group idle[match] held no
+/// rows: it leaves the group, which is erased once empty.
+void drop_dead_idle_rank(ParContext& ctx, std::vector<mpsim::Group>& idle,
+                         std::size_t match, mpsim::Rank dead) {
+  std::vector<mpsim::Rank> rest = idle[match].ranks();
+  if (std::erase(rest, dead) == 0) return;
+  ctx.machine().fault()->mark_recovered(dead);
+  ctx.recovery.failures += 1;
+  if (rest.empty()) {
+    idle.erase(idle.begin() + static_cast<std::ptrdiff_t>(match));
+  } else {
+    idle[match] = mpsim::Group(ctx.machine(), std::move(rest));
+  }
+}
+
 /// The paper's rejoin (Sections 3.3 / 4.2): an idle partition of the same
 /// size is included "during the next round of splitting" of a busy
 /// partition. Instead of halving itself, the busy partition allocates half
 /// of its frontier (by records) to the idle group: busy processor i ships
-/// the other side's rows to idle processor i, each side then balances
-/// internally. Returns the idle group's new partition.
-Part rejoin_split(ParContext& ctx, Part& busy, mpsim::Group idle,
-                  data::Rng& rng) {
+/// the other side's rows to idle processor i in one transfers collective
+/// over both groups, then each side balances internally. Recruits
+/// idle[match] and returns its new partition. The shipment is charged
+/// before any row moves: if a retry budget runs out in it, the rejoin did
+/// not happen, `busy` is as it was and the result is empty.
+std::optional<Part> rejoin_split(ParContext& ctx, Part& busy,
+                                 std::vector<mpsim::Group>& idle,
+                                 std::size_t match, data::Rng& rng) {
+  const mpsim::Group& helper_group = idle[match];
   const int p = busy.group.size();
-  assert(idle.size() == p);
+  assert(helper_group.size() == p);
   const std::vector<int> side = allocate_nodes(busy.frontier, rng);
-  std::vector<mpsim::Transfer> union_transfers;
-  std::vector<NodeWork> keep_frontier;
-  std::vector<NodeWork> give_frontier;
-  std::vector<std::int64_t> given(static_cast<std::size_t>(p), 0);
-  for (std::size_t j = 0; j < busy.frontier.size(); ++j) {
-    NodeWork& nw = busy.frontier[j];
-    if (side[j] == 0) {
-      keep_frontier.push_back(std::move(nw));
-      continue;
-    }
-    for (int i = 0; i < p; ++i) {
-      given[static_cast<std::size_t>(i)] += nw.member_records(i);
-    }
-    give_frontier.push_back(std::move(nw));
-  }
-  // Cost: busy member i -> idle member i, all its rows of the given side.
+  std::vector<mpsim::Rank> ranks = busy.group.ranks();
+  ranks.insert(ranks.end(), helper_group.ranks().begin(),
+               helper_group.ranks().end());
+  const mpsim::Group both(ctx.machine(), std::move(ranks));
+  const auto member = [&both](mpsim::Rank r) {
+    return static_cast<int>(std::ranges::lower_bound(both.ranks(), r) -
+                            both.ranks().begin());
+  };
+  std::vector<mpsim::Transfer> plan;
   for (int i = 0; i < p; ++i) {
-    if (given[static_cast<std::size_t>(i)] > 0) {
-      union_transfers.push_back(mpsim::Transfer{i, p + i,
-                                                given[static_cast<std::size_t>(i)]});
-      ctx.records_moved += given[static_cast<std::size_t>(i)];
-      ctx.count_records_relocated(given[static_cast<std::size_t>(i)]);
+    std::int64_t n = 0;
+    for (std::size_t j = 0; j < side.size(); ++j) {
+      if (side[j] != 0) n += busy.frontier[j].member_records(i);
+    }
+    if (n > 0) {
+      plan.push_back(
+          {member(busy.group.rank(i)), member(helper_group.rank(i)), n});
     }
   }
   {
     const obs::PhaseScope phase(ctx.profiler(), "record-shuffle");
-    // Charge on a group whose member order is busy-then-idle so the
-    // transfer indices line up.
-    std::vector<mpsim::Rank> ordered = busy.group.ranks();
-    const auto& ir = idle.ranks();
-    ordered.insert(ordered.end(), ir.begin(), ir.end());
-    // Group() sorts ranks, so build the transfer cost directly instead.
-    const mpsim::CostModel& cm = ctx.machine().cost();
-    ctx.machine().barrier_over(ordered);
-    mpsim::CommLedger* ledger = ctx.machine().comm_ledger();
-    for (const mpsim::Transfer& t : union_transfers) {
-      const double words =
-          static_cast<double>(t.count) * ctx.record_words();
-      const mpsim::Rank from = ordered[static_cast<std::size_t>(t.from)];
-      const mpsim::Rank to = ordered[static_cast<std::size_t>(t.to)];
-      const double lf = ctx.machine().link_factor(from, to);
-      const mpsim::Time wire = (cm.t_s + cm.t_w * words) * lf;
-      ctx.machine().charge_comm(from, wire, words, 0.0, 1, cm.t_s * lf);
-      ctx.machine().charge_comm(to, wire, 0.0, words, 1, cm.t_s * lf);
-      ctx.machine().charge_io(from, cm.t_io * words);
-      ctx.machine().charge_io(to, cm.t_io * words);
-      ctx.mem_records_move(from, to, t.count);
-      if (ledger != nullptr) ledger->add_traffic(from, to, words);
+    try {
+      both.charge_transfers(plan, ctx.record_words());
+    } catch (const mpsim::RankFailure& rf) {
+      drop_dead_idle_rank(ctx, idle, match, rf.rank);
+      return std::nullopt;
     }
-    ctx.machine().barrier_over(ordered);
+  }
+  for (const mpsim::Transfer& t : plan) {
+    ctx.move_records(both.rank(t.from), both.rank(t.to), t.count);
   }
 
-  busy.frontier = std::move(keep_frontier);
+  std::vector<NodeWork> keep, give;
+  for (std::size_t j = 0; j < side.size(); ++j) {
+    (side[j] == 0 ? keep : give).push_back(std::move(busy.frontier[j]));
+  }
+  busy.frontier = std::move(keep);
   busy.acc_comm = 0.0;
   if (ctx.options().load_balance) {
     balance_half(ctx, busy.group, busy.frontier);
   }
-  Part helper{std::move(idle), std::move(give_frontier)};
+  Part helper{std::move(idle[match]), std::move(give)};
+  idle.erase(idle.begin() + static_cast<std::ptrdiff_t>(match));
   if (ctx.options().load_balance) {
     balance_half(ctx, helper.group, helper.frontier);
   }
@@ -257,12 +263,10 @@ ParResult build_hybrid(const data::Dataset& ds, const ParOptions& opt) {
           }
         }
         if (idle_match >= 0) {
-          mpsim::Group helper_group =
-              std::move(idle[static_cast<std::size_t>(idle_match)]);
-          idle.erase(idle.begin() + idle_match);
-          Part helper = rejoin_split(ctx, part, std::move(helper_group), rng);
+          std::optional<Part> helper = rejoin_split(
+              ctx, part, idle, static_cast<std::size_t>(idle_match), rng);
           active.push_back(std::move(part));
-          active.push_back(std::move(helper));
+          if (helper) active.push_back(std::move(*helper));
           continue;
         }
         if (part.group.size() > 1 && part.group.size() % 2 == 0) {

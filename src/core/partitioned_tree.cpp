@@ -106,12 +106,10 @@ std::vector<std::vector<NodeWork>> shuffle_to_parts(
       // one record's words per row.
       words[static_cast<std::size_t>(from)][static_cast<std::size_t>(to)] =
           static_cast<double>(n) * ctx.record_words();
-      ctx.records_moved += n;
-      ctx.mem_records_move(g.rank(from), g.rank(to), n);
+      ctx.move_records(g.rank(from), g.rank(to), n);
     }
   }
   g.all_to_all_personalized(words);
-  ctx.count_records_relocated(ctx.records_moved - moved_before);
   ctx.observe_shuffle_records(ctx.records_moved - moved_before);
   return out;
 }

@@ -34,6 +34,20 @@ std::vector<mpsim::Rank> pick_survivors(const mpsim::FaultInjector& inj,
   return survivors;
 }
 
+/// The partition's state as it stands: tree, frontier, ranks and member
+/// byte accounts.
+LevelCheckpoint cut(ParContext& ctx, const mpsim::Group& g,
+                    std::vector<NodeWork> f, int level) {
+  LevelCheckpoint ck;
+  ck.level = level;
+  ck.tree = ctx.tree();
+  ck.frontier = std::move(f);
+  ck.ranks = g.ranks();
+  ck.mem.reserve(static_cast<std::size_t>(g.size()));
+  for (const mpsim::Rank r : g.ranks()) ck.mem.push_back(ctx.machine().mem(r));
+  return ck;
+}
+
 }  // namespace
 
 LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
@@ -45,26 +59,17 @@ LevelCheckpoint take_checkpoint(ParContext& ctx, const mpsim::Group& g,
   // partition (no member is mid-level when its state is captured).
   machine.barrier_over(g.ranks(), "checkpoint");
 
-  LevelCheckpoint ck;
-  ck.level = level;
-  ck.tree = ctx.tree();
-  ck.frontier = f;
-  ck.ranks = g.ranks();
-
   mpsim::Time io_total = 0.0;
   std::int64_t records = 0;
   for (int m = 0; m < g.size(); ++m) {
     const std::int64_t n = frontier_member_records(f, m);
     records += n;
     io_total += ctx.write_records(g.rank(m), n);
-    ck.bytes += n * ctx.record_bytes();
   }
   // Snapshot the byte accounts after the staging round-trips, so restoring
   // to the snapshot never resurrects checkpoint scratch.
-  ck.mem.reserve(static_cast<std::size_t>(g.size()));
-  for (int m = 0; m < g.size(); ++m) {
-    ck.mem.push_back(machine.mem(g.rank(m)));
-  }
+  LevelCheckpoint ck = cut(ctx, g, f, level);
+  ck.bytes = records * ctx.record_bytes();
 
   ctx.recovery.checkpoints += 1;
   ctx.recovery.checkpoint_bytes += ck.bytes;
@@ -238,7 +243,17 @@ std::vector<NodeWork> expand_level_ft(ParContext& ctx, mpsim::Group& g,
   }
   const int level = ctx.tree().node(frontier.front().node_id).depth;
   for (;;) {
-    const LevelCheckpoint ckpt = take_checkpoint(ctx, g, frontier, level);
+    LevelCheckpoint ckpt;
+    try {
+      ckpt = take_checkpoint(ctx, g, frontier, level);
+    } catch (const mpsim::RankFailure& rf) {
+      // A member died between levels (a retry budget ran out in a
+      // collective no level wraps, such as the hybrid's rejoin) and the
+      // checkpoint barrier detected it. Nothing has run since the cut.
+      recover_from_failure(ctx, g, frontier,
+                           cut(ctx, g, std::move(frontier), level), rf);
+      continue;
+    }
     inj->enter_level(level, g.ranks());
     try {
       return expand_level(ctx, g, frontier, comm_cost_out);

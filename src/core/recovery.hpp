@@ -49,7 +49,9 @@ void recover_from_failure(ParContext& ctx, mpsim::Group& g,
 
 /// Fault-tolerant expand_level: checkpoint, fire scheduled faults for this
 /// level, expand, and on RankFailure recover and retry (the group `g` is
-/// replaced by the survivor group). Falls through to expand_level() when
+/// replaced by the survivor group). A member that died since the last
+/// level is detected by the checkpoint's barrier and recovered from the
+/// partition's state as it stands. Falls through to expand_level() when
 /// no fault plan is armed.
 [[nodiscard]] std::vector<NodeWork> expand_level_ft(
     ParContext& ctx, mpsim::Group& g, std::vector<NodeWork>& frontier,

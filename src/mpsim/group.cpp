@@ -345,7 +345,11 @@ void Group::charge_transfers(const std::vector<Transfer>& transfers,
     const auto n = static_cast<std::size_t>(size());
     std::vector<Time> member_cost(n, 0.0);
     std::vector<Time> member_latency(n, 0.0);
+    // Words a member sends and receives, and their sum in transfer order
+    // (the volume its cost, disk I/O and staging cover).
     std::vector<double> member_words(n, 0.0);
+    std::vector<double> member_sent(n, 0.0);
+    std::vector<double> member_received(n, 0.0);
     for (const Transfer& t : transfers) {
       const auto from = static_cast<std::size_t>(t.from);
       const auto to = static_cast<std::size_t>(t.to);
@@ -358,6 +362,8 @@ void Group::charge_transfers(const std::vector<Transfer>& transfers,
       member_latency[to] += cm.t_s * lf;
       member_words[from] += words;
       member_words[to] += words;
+      member_sent[from] += words;
+      member_received[to] += words;
       if (ledger != nullptr) {
         ledger->add_traffic(rank(t.from), rank(t.to), words);
       }
@@ -369,8 +375,8 @@ void Group::charge_transfers(const std::vector<Transfer>& transfers,
         const std::int64_t staging = staging_bytes(member_words[i]);
         const Time io = cm.t_io * member_words[i];
         machine_->alloc_bytes(r, MemTag::CollectiveBuffer, staging);
-        machine_->charge_comm(r, member_cost[i], member_words[i],
-                              member_words[i], 1, member_latency[i]);
+        machine_->charge_comm(r, member_cost[i], member_sent[i],
+                              member_received[i], 1, member_latency[i]);
         machine_->charge_io(r, io);
         machine_->free_bytes(r, MemTag::CollectiveBuffer, staging);
         e.predicted_us += member_cost[i];

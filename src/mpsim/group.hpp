@@ -92,7 +92,8 @@ class Group {
   /// Charge the communication cost of executing `transfers`, each item
   /// costing `words_per_item` words (Eq. 4: each member pays
   /// t_w * words moved in or out, plus t_s per distinct transfer it
-  /// participates in). Barrier first and after.
+  /// participates in). A member's words are booked as sent or received
+  /// by the direction they travel. Barrier first and after.
   void charge_transfers(const std::vector<Transfer>& transfers,
                         double words_per_item) const;
 

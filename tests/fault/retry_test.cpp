@@ -6,12 +6,14 @@
 // the retry cost visible in RecoveryStats, the ledger and the trace.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/runner.hpp"
 #include "data/discretize.hpp"
 #include "data/quest.hpp"
+#include "dtree/serialize.hpp"
 #include "mpsim/comm_ledger.hpp"
 #include "mpsim/fault.hpp"
 #include "mpsim/machine.hpp"
@@ -275,6 +277,143 @@ TEST(RetryEscalation, ExhaustedRetriesRecoverLikeAFailStop) {
     EXPECT_EQ(res.recovery.failures, 1);
     EXPECT_EQ(res.recovery.retries,
               static_cast<std::uint64_t>(mpsim::Machine::kMaxRetryAttempts));
+  }
+}
+
+// The hybrid's rejoin ships rows over the union of a busy and an idle
+// partition in one transfers collective, so a transient fault on a link
+// between the two fires there. On this workload the first rejoin, at
+// level 3, ships from busy ranks {4, 5} to idle ranks {2, 3}.
+data::Dataset rejoin_workload() {
+  return data::discretize_uniform(
+      data::quest_generate(4000, {.function = 2, .seed = 1}),
+      data::quest_paper_bins());
+}
+
+ParResult build_rejoin(const data::Dataset& ds, const mpsim::FaultPlan& plan,
+                       obs::Observability* obs = nullptr,
+                       const std::string& ckpt_dir = "") {
+  ParOptions opt;
+  opt.num_procs = 16;
+  opt.split_ratio = 0.005;
+  opt.fault = &plan;
+  opt.obs = obs;
+  opt.ckpt_dir = ckpt_dir;
+  return build(Formulation::Hybrid, ds, opt);
+}
+
+std::int64_t live_records(const ParResult& res) {
+  std::int64_t live = 0;
+  for (const mpsim::MemStats& m : res.mem) {
+    live += m.live_for(mpsim::MemTag::Records);
+  }
+  return live;
+}
+
+TEST(RejoinFaults, TransientInTheRejoinRetriesAndGrowsTheSerialTree) {
+  const data::Dataset ds = rejoin_workload();
+  const std::string serial =
+      dtree::model_digest(build_serial(ds, ParOptions{}).tree);
+  mpsim::FaultPlan plan;
+  plan.corrupt_link(/*a=*/4, /*b=*/2, /*level=*/3, /*count=*/1);
+  obs::Observability obs;
+  const ParResult res = build_rejoin(ds, plan, &obs);
+
+  EXPECT_EQ(res.recovery.retries, 1u);
+  EXPECT_EQ(res.recovery.escalations, 0);
+  EXPECT_EQ(res.recovery.failures, 0);
+  // The retry lands on the rejoin's entry: transfers over {2, 3, 4, 5}.
+  int retried = 0;
+  for (const mpsim::CollectiveEntry& e : obs.comm_ledger().entries()) {
+    if (e.retries == 0) continue;
+    ++retried;
+    EXPECT_EQ(e.kind, mpsim::CollectiveKind::Transfers);
+    EXPECT_EQ(e.group_base, 2);
+    EXPECT_EQ(e.group_size, 4);
+    EXPECT_EQ(e.retries, 1u);
+  }
+  EXPECT_EQ(retried, 1);
+  EXPECT_GT(res.rejoins, 0);
+  EXPECT_EQ(dtree::model_digest(res.tree), serial);
+  EXPECT_EQ(live_records(res), 0);
+}
+
+TEST(RejoinFaults, ExhaustedBudgetInTheRejoinIsRecovered) {
+  const data::Dataset ds = rejoin_workload();
+  const std::string serial =
+      dtree::model_digest(build_serial(ds, ParOptions{}).tree);
+  {
+    // Level 3: busy rank 4 dies in the shipment. No row moved, and its
+    // partition absorbs the death at its next checkpoint.
+    SCOPED_TRACE("busy rank dies");
+    mpsim::FaultPlan plan;
+    plan.corrupt_link(4, 2, 3, 100);
+    ParResult res;
+    ASSERT_NO_THROW(res = build_rejoin(ds, plan));
+    EXPECT_EQ(res.recovery.escalations, 1);
+    EXPECT_EQ(res.recovery.failures, 1);
+    EXPECT_EQ(dtree::model_digest(res.tree), serial);
+    EXPECT_EQ(live_records(res), 0);
+  }
+  {
+    // Level 4: rank 4 is idle when a rejoin exhausts its budget. It held
+    // no rows and leaves its idle group.
+    SCOPED_TRACE("idle rank dies");
+    mpsim::FaultPlan plan;
+    plan.corrupt_link(4, 2, 4, 100);
+    ParResult res;
+    ASSERT_NO_THROW(res = build_rejoin(ds, plan));
+    EXPECT_EQ(res.recovery.escalations, 1);
+    EXPECT_EQ(res.recovery.failures, 1);
+    EXPECT_EQ(res.rejoins, 1);
+    EXPECT_EQ(dtree::model_digest(res.tree), serial);
+    EXPECT_EQ(live_records(res), 0);
+  }
+}
+
+TEST(RejoinFaults, DurableEpochSkipsARankThatDiedInARejoin) {
+  // With durable epochs on, rank 4 is busy when a rejoin exhausts its
+  // budget at level 7, and an epoch is saved before its partition's next
+  // checkpoint detects the death. The epoch must not charge the dead rank.
+  const data::Dataset ds = rejoin_workload();
+  const std::string serial =
+      dtree::model_digest(build_serial(ds, ParOptions{}).tree);
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "rejoin_durable";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  mpsim::FaultPlan plan;
+  plan.corrupt_link(4, 14, 7, 100);
+  ParResult res;
+  ASSERT_NO_THROW(res = build_rejoin(ds, plan, nullptr, dir.string()));
+  EXPECT_EQ(res.recovery.escalations, 1);
+  EXPECT_EQ(res.recovery.failures, 1);
+  EXPECT_GT(res.recovery.durable_checkpoints, 0);
+  EXPECT_EQ(dtree::model_digest(res.tree), serial);
+  EXPECT_EQ(live_records(res), 0);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RejoinFaults, EveryExhaustedBudgetOnRankFourIsRecovered) {
+  // Every link that touches rank 4, and rank 4's own timeouts, at levels
+  // 0 to 11, each failing more often than the retry budget allows.
+  const data::Dataset ds = rejoin_workload();
+  const std::string serial =
+      dtree::model_digest(build_serial(ds, ParOptions{}).tree);
+  for (int level = 0; level < 12; ++level) {
+    std::vector<mpsim::FaultPlan> plans(1);
+    plans[0].transient_timeout(4, level, 100);
+    for (mpsim::Rank r = 0; r < 16; ++r) {
+      if (r == 4) continue;
+      plans.emplace_back().corrupt_link(4, r, level, 100);
+      plans.emplace_back().corrupt_link(r, 4, level, 100);
+    }
+    for (const mpsim::FaultPlan& plan : plans) {
+      SCOPED_TRACE(plan.describe());
+      ParResult res;
+      ASSERT_NO_THROW(res = build_rejoin(ds, plan));
+      EXPECT_EQ(dtree::model_digest(res.tree), serial);
+    }
   }
 }
 

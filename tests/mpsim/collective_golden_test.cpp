@@ -242,21 +242,21 @@ const std::map<std::string, Golden>& goldens() {
         "e737863c2dec6d4fd43d28ec92b593b4f06f111ec630c4f0bf629e2d8e1c1861",
         "66ab0e279f8e9f2216a7a2a25ed3ecba5ff819462bfc1312e0a3d17ec2a80a9a"}},
       {"transfers_clean_P6",
-       {"b1d791f3e5c7ad469746209769e360375f8dabc78d443ec1f83b3aec439a7dc7",
+       {"0217950f444e76bdfd63b098d2cab6e2ed8099c4bfa09749b8b608a6f4ea5b95",
         "54d61c2d947dbf7c110f8168af40db977902a447946c62db963a5ff2c432e574",
-        "85781f6127a3529c0860918a49878aa7d66469b5d6676f7a963770081ef732c5",
+        "782c54d7a81f8cea0e949642d0eb4b23bcc5efe7456b4eb047477be6eb0ac75f",
         "6919f0d44afdffaede5f00163de6f33df7b998556da57c1adb6bfa5ba3c624e1",
         "5159e14880f98f4fe5411eea7f8e667bf42a711793c992cf120a3abd6821f0e3"}},
       {"transfers_retry_P6",
-       {"56dca791b78f72cfa83c294f144d30176b391ade422332c3dfb29b552e740610",
+       {"07c7c4e6f3200d6be51d2a70857a28ecc40da5515fa0257393b93d7789477df6",
         "35098f3d18f103ad0f1c8175018cd19bbac31ca1a62e2349180ea8c4e0eed5d0",
-        "3bba7e77bde570504ea130dc43634ad18846091d38473a1a533dbfae55fe1f2d",
+        "8cf726bef679d1ed9d9966e08ceae91d04b1ef6c0c10e2281652bfda780d81bd",
         "fba45dbd701993b2718a58faa41b222113ccc912626b8b11cc8c2ecad78d243f",
         "5159e14880f98f4fe5411eea7f8e667bf42a711793c992cf120a3abd6821f0e3"}},
       {"transfers_delay_P6",
-       {"d04d9e0adb9273459051c3c712aa172e47e387e39b96cc1a8499d433c7759061",
+       {"f4738b257bf9d66eba5283ea4035fdfc8d66b6a4af4341feeba14d7afadaa2ad",
         "2b9af6ad4f5bc0dfadc65e30588ecbbaa37a71d694c4f9f499a8d602c4e21126",
-        "c7e14651ab0251bef61708591d7dfaf8225f079d98cbd46f703405eafa7d9a06",
+        "6fe73da5af2a6d9cbdac3a3dda9427c2dc39e991488367d8fedf61622a877b00",
         "91f1a29c34e00587858e7dc6bece77acca4edf17f6f1ed565204c7f5f2f7b60f",
         "5159e14880f98f4fe5411eea7f8e667bf42a711793c992cf120a3abd6821f0e3"}},
       {"all_to_all_clean_P6",
@@ -368,21 +368,21 @@ const std::map<std::string, Golden>& goldens() {
         "6d15d608a2841777456f5c60a853135ba881f323a60cb762a96c54ab924d0699",
         "ed664015f888a7f40ed070d27c90494b3219babfc296e33e39207191a907668e"}},
       {"transfers_clean_P8",
-       {"1cd51dfff6f0b35095d1b68487d964735111abfc8df3f9a0ea30392a70aabb8a",
+       {"8fbdd698cef5c33bf8494a659a51271aa80ba462136de0f4ba2b08b47c505726",
         "6f58eb7a0c27fe48b9c6a65f2f43a80614cfda1df4880f34bc6289b0d14a002b",
-        "3d4eae28b1311a477899c8bfb9c9d3f68a971d65611251cec88154aff178ef6b",
+        "e6c1bc4a13553f99dc4fa31e814eaf265f3f61f9d0576de991b6a8885fb747f3",
         "7a04d409c8e0ea9b83b6050893c395fff1476843c42958a64c10af26e85fd8ae",
         "2623a1ce26abb2c628149cca1ce6b19cecaaaaf5b86d731d6f1d72df5368a48b"}},
       {"transfers_retry_P8",
-       {"f17cb1b4af559eb423ae3b17359c91e77c34c9a06a4b167c34326595c595a774",
+       {"475d2558a73fc9c4aba0878a197dd0c8db8803907e1ed08938465f636ee66cfd",
         "35233050fdd9bdb0a4742c58165702c4a398d4296131d0d7c2fbd28adcc6c348",
-        "8e50a4871eeb3dc216fc75393a9f8049f2f0f8e008fb9a48b5b26eb506508a0d",
+        "729a9074e4915d0f947bbd17a575d6368ae5a3779b2d11f9b373c664eb825325",
         "e57358432da2119bd0c99cba7d62d1b91b5251ac447c1e57f048604e44b046fd",
         "2623a1ce26abb2c628149cca1ce6b19cecaaaaf5b86d731d6f1d72df5368a48b"}},
       {"transfers_delay_P8",
-       {"5179435e998a9ce9db29c4859d5604998ff9209186f9b1a1708a8b245f8e98cc",
+       {"9034b04656a35cb905a75a78fec0eb933fa90b7dcfc190204f9df0f33ad43ec4",
         "d7be8daba21e1ad7f0cb3b5c64a3d455994ca649be91de4bf6e593225ca0cc60",
-        "39d581945ac0c47e99f93402f6c620d6a1b5c2b107a183952005e3ca02c1f25a",
+        "05e929b1100b014d720ad5884a73919f43515e99a7d55058c23397a4076c5f7e",
         "9d92e1853630a402ab317d56c8f307e772731c2c312b151970b28ee6c275dff5",
         "2623a1ce26abb2c628149cca1ce6b19cecaaaaf5b86d731d6f1d72df5368a48b"}},
       {"all_to_all_clean_P8",

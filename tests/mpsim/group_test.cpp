@@ -238,7 +238,9 @@ TEST(Group, PairwiseExchangePartnerCrossesHighestFreeDimension) {
     const Rank partner = 8 + ((r - 8) ^ 4);
     EXPECT_DOUBLE_EQ(ledger.words(r, partner), i + 1.0) << "rank " << r;
     for (Rank other = 0; other < 16; ++other) {
-      if (other != partner) EXPECT_DOUBLE_EQ(ledger.words(r, other), 0.0);
+      if (other != partner) {
+        EXPECT_DOUBLE_EQ(ledger.words(r, other), 0.0);
+      }
     }
   }
   m.set_comm_ledger(nullptr);
@@ -306,6 +308,55 @@ TEST_P(AllReducePropertyTest, ConservesTotalsAtAnyGroupSize) {
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, AllReducePropertyTest,
                          ::testing::Values(1, 2, 3, 4, 7, 8, 16, 32));
+
+// The per-rank traffic counters and the ledger's traffic matrix book the
+// same words: a rank sends its matrix row and receives its column. Word
+// volumes are whole, so the counters' integer words are exact.
+class TrafficAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TrafficAgreementTest, RankWordsMatchTheLedgerMatrix) {
+  const int procs = GetParam();
+  const auto check = [procs](const char* op, const auto& run) {
+    SCOPED_TRACE(op);
+    Machine m(procs, unit_cost());
+    CommLedger ledger;
+    m.set_comm_ledger(&ledger);
+    run(Group::whole(m));
+    run(Group(m, std::vector<Rank>{1, 2, 4, 5}));
+    for (Rank r = 0; r < procs; ++r) {
+      EXPECT_EQ(m.stats(r).words_sent,
+                static_cast<std::uint64_t>(ledger.words_sent(r)))
+          << "rank " << r;
+      EXPECT_EQ(m.stats(r).words_received,
+                static_cast<std::uint64_t>(ledger.words_received(r)))
+          << "rank " << r;
+    }
+    m.set_comm_ledger(nullptr);
+  };
+  check("pairwise_exchange", [](const Group& g) {
+    std::vector<double> out;
+    for (int i = 0; i < g.size(); ++i) out.push_back((i * 5) % 7);
+    g.pairwise_exchange(out);
+  });
+  check("charge_transfers", [](const Group& g) {
+    std::vector<std::int64_t> counts;
+    for (int i = 0; i < g.size(); ++i) counts.push_back((i * 13 + 4) % 17);
+    g.charge_transfers(Group::plan_balance(counts), 3.0);
+  });
+  check("all_to_all_personalized", [](const Group& g) {
+    const auto p = static_cast<std::size_t>(g.size());
+    std::vector<std::vector<double>> out(p, std::vector<double>(p, 0.0));
+    for (std::size_t i = 0; i < p; ++i) {
+      for (std::size_t j = 0; j < p; ++j) {
+        if (i != j) out[i][j] = static_cast<double>((i * 7 + j * 3) % 11);
+      }
+    }
+    g.all_to_all_personalized(out);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(GroupSizes, TrafficAgreementTest,
+                         ::testing::Values(6, 8));
 
 // Collective preconditions: every malformed call must throw
 // std::invalid_argument naming the collective and the group's rank range,
