@@ -126,17 +126,11 @@ inline std::string json_path(const std::string& file) {
 
 /// Host (wall-clock) profiling toggle: on by default — the profiler is
 /// non-perturbing (the parity suite proves the virtual state identical) —
-/// PDT_HOST=0 turns it off, PDT_HOST_COUNTERS=1 additionally asks for
-/// perf_event_open cycle/instruction counters.
+/// PDT_HOST=0 turns it off.
 inline bool host_enabled() {
   const char* env = std::getenv("PDT_HOST");
   return env == nullptr ||
          (std::string(env) != "0" && std::string(env) != "off");
-}
-
-inline bool host_counters_requested() {
-  const char* env = std::getenv("PDT_HOST_COUNTERS");
-  return env != nullptr && std::string(env) == "1";
 }
 
 /// This process's environment fingerprint (git SHA, compiler, CPU,
@@ -400,10 +394,7 @@ inline core::ParResult run_instrumented(BenchReport& rep, const char* tag,
                                         const ModelInfo* model = nullptr) {
   obs::Observability o(obs::ProfilerConfig{.timeline = true});
   o.enable_event_log();
-  if (host_enabled()) {
-    o.enable_host_profiler(
-        obs::HostProfilerConfig{.counters = host_counters_requested()});
-  }
+  if (host_enabled()) o.enable_host_profiler();
   if (model != nullptr) o.enable_split_audit();
   opt.obs = &o;
   opt.trace = true;  // collective events feed the trace's flow arrows

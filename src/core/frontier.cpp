@@ -459,50 +459,16 @@ ParContext::ParContext(const data::Dataset& ds, const ParOptions& opt,
   }
 
   if (opt.obs != nullptr) {
-    obs_ = opt.obs;
-    obs_->attach(machine);
-    profiler_ = &obs_->profiler();
-    split_audit_ = obs_->split_audit();
-    obs_->mem_ledger().set_predicted(mem_predicted_);
-    obs::MetricsRegistry& reg = obs_->metrics();
-    records_relocated_ = &reg.counter("records_relocated");
-    words_all_reduced_ = &reg.counter("words_all_reduced");
-    splits_evaluated_ = &reg.counter("splits_evaluated");
-    frontier_nodes_ = &reg.histogram("frontier_nodes_per_expansion");
-    shuffle_records_ = &reg.histogram("records_per_shuffle");
+    opt.obs->attach(machine);
+    profiler_ = &opt.obs->profiler();
+    split_audit_ = opt.obs->split_audit();
+    opt.obs->mem_ledger().set_predicted(mem_predicted_);
   }
   // The audit observes the replicated tree regardless of which wiring
   // requested it (the observability bundle wins over a GrowOptions hook).
   tree_.set_split_observer(split_audit_ != nullptr
                                ? static_cast<dtree::SplitObserver*>(split_audit_)
                                : opt.grow.split_observer);
-}
-
-void ParContext::publish_summary_gauges() {
-  if (obs_ == nullptr) return;
-  obs::MetricsRegistry& reg = obs_->metrics();
-  const int p = machine_->size();
-  mpsim::Time max_busy = 0.0;
-  mpsim::Time sum_busy = 0.0;
-  mpsim::Time sum_compute = 0.0;
-  mpsim::Time sum_comm = 0.0;
-  for (int r = 0; r < p; ++r) {
-    const mpsim::RankStats& s = machine_->stats(r);
-    max_busy = std::max(max_busy, s.busy_time());
-    sum_busy += s.busy_time();
-    sum_compute += s.compute_time;
-    sum_comm += s.comm_time;
-  }
-  reg.gauge("load_imbalance_overall")
-      .set(sum_busy > 0.0 ? max_busy / (sum_busy / p) : 0.0);
-  reg.gauge("comm_to_compute_overall")
-      .set(sum_compute > 0.0 ? sum_comm / sum_compute : 0.0);
-  reg.gauge("max_clock_us").set(machine_->max_clock());
-  reg.gauge("levels").set(static_cast<double>(levels));
-  reg.gauge("partition_splits").set(static_cast<double>(partition_splits));
-  reg.gauge("rejoins").set(static_cast<double>(rejoins));
-  reg.gauge("records_moved_total").set(static_cast<double>(records_moved));
-  reg.gauge("histogram_words_total").set(histogram_words);
 }
 
 std::vector<std::uint8_t> ParContext::cells_of(
@@ -694,12 +660,11 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
   const obs::LevelScope level_scope(ctx.profiler(), frontier_level);
   const mpsim::LedgerLevelScope ledger_level(machine.comm_ledger(),
                                              frontier_level);
-  // Tag the members with the level they are expanding, so collective
-  // stamps (deadlock reports) and fault events carry tree-depth context.
+  // Tag the members with the level they are expanding, so the event log's
+  // charges and fault events carry tree-depth context.
   for (int m = 0; m < p; ++m) {
     machine.set_rank_level(g.rank(m), frontier_level);
   }
-  ctx.observe_frontier_nodes(static_cast<std::int64_t>(work.size()));
 
   for (std::size_t c0 = 0; c0 < work.size(); c0 += static_cast<std::size_t>(buffer_nodes)) {
     const std::size_t c1 =
@@ -759,7 +724,6 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
         level_comm += cm.all_reduce(words, p);
       }
     }
-    ctx.count_words_all_reduced(words);
     ctx.histogram_words += words;
 
     // Section 3.4's parallel sorting for exact continuous thresholds: the
@@ -823,7 +787,6 @@ std::vector<NodeWork> expand_level(ParContext& ctx, const mpsim::Group& g,
     // Split selection — computed simultaneously (and identically) by every
     // member (Section 3.1 step 4), then local row partitioning (step 5).
     const obs::PhaseScope split_phase(ctx.profiler(), "split-eval");
-    ctx.count_splits_evaluated(static_cast<std::int64_t>(chunk_nodes));
     for (std::size_t i = c0; i < c1; ++i) {
       auto node_hist = std::span<const std::int64_t>(hist).subspan(
           (i - c0) * static_cast<std::size_t>(entries),

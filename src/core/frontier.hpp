@@ -150,35 +150,6 @@ class ParContext {
   /// auditing is off (the default — one branch per expansion).
   [[nodiscard]] obs::SplitAudit* split_audit() const { return split_audit_; }
 
-  // Branch-cheap metric updates (handles resolved once in the ctor;
-  // no-ops when observability is disabled).
-  void count_records_relocated(std::int64_t n) {
-    if (records_relocated_ != nullptr) {
-      records_relocated_->add(static_cast<double>(n));
-    }
-  }
-  void count_words_all_reduced(double words) {
-    if (words_all_reduced_ != nullptr) words_all_reduced_->add(words);
-  }
-  void count_splits_evaluated(std::int64_t n) {
-    if (splits_evaluated_ != nullptr) {
-      splits_evaluated_->add(static_cast<double>(n));
-    }
-  }
-  void observe_frontier_nodes(std::int64_t n) {
-    if (frontier_nodes_ != nullptr) {
-      frontier_nodes_->observe(static_cast<double>(n));
-    }
-  }
-  void observe_shuffle_records(std::int64_t n) {
-    if (shuffle_records_ != nullptr) {
-      shuffle_records_->observe(static_cast<double>(n));
-    }
-  }
-  /// Publish run-summary gauges (overall load imbalance, comm:compute,
-  /// lifecycle totals) into the registry; called by collect_result.
-  void publish_summary_gauges();
-
   /// Words on the wire of one node's flat histogram (counts travel as
   /// 4-byte words, the unit of Eq. 2's C * A_d * M).
   [[nodiscard]] double hist_words() const {
@@ -202,12 +173,11 @@ class ParContext {
   void mem_records_free(mpsim::Rank r, std::int64_t n) {
     if (n > 0) machine_->free_bytes(r, mpsim::MemTag::Records, n * record_bytes_);
   }
-  /// Book `n` rows relocating from rank `from` to rank `to`: records_moved,
-  /// the relocation counter and both Records accounts. Every record move
-  /// books through here; the caller charges the wire.
+  /// Book `n` rows relocating from rank `from` to rank `to`: records_moved
+  /// and both Records accounts. Every record move books through here; the
+  /// caller charges the wire.
   void move_records(mpsim::Rank from, mpsim::Rank to, std::int64_t n) {
     records_moved += n;
-    count_records_relocated(n);
     if (from == to || n <= 0) return;
     machine_->free_bytes(from, mpsim::MemTag::Records, n * record_bytes_);
     machine_->alloc_bytes(to, mpsim::MemTag::Records, n * record_bytes_);
@@ -271,14 +241,8 @@ class ParContext {
   std::int64_t record_bytes_ = 0;
   mpsim::MemPredicted mem_predicted_;
 
-  obs::Observability* obs_ = nullptr;
   obs::PhaseProfiler* profiler_ = nullptr;
   obs::SplitAudit* split_audit_ = nullptr;
-  obs::Counter* records_relocated_ = nullptr;
-  obs::Counter* words_all_reduced_ = nullptr;
-  obs::Counter* splits_evaluated_ = nullptr;
-  obs::Histogram* frontier_nodes_ = nullptr;
-  obs::Histogram* shuffle_records_ = nullptr;
 };
 
 /// Host half of Section 3.1 step 2, with no Machine, ledger or observer

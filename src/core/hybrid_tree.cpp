@@ -67,7 +67,6 @@ std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
 
   // Moving phase (Eq. 3): member m sends every row it holds of nodes
   // assigned to the other side to its partner m +/- h.
-  const std::int64_t moved_before = ctx.records_moved;
   std::vector<double> words_out(static_cast<std::size_t>(p), 0.0);
   std::vector<NodeWork> fa, fb;
   {
@@ -88,7 +87,6 @@ std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
     }
     part.group.pairwise_exchange(words_out);
   }
-  ctx.observe_shuffle_records(ctx.records_moved - moved_before);
 
   if (ctx.options().load_balance) {
     balance_half(ctx, ga, fa);
@@ -113,13 +111,15 @@ std::pair<Part, Part> split_partition(ParContext& ctx, Part part,
 /// A retry budget ran out in a rejoin's shipment and killed `dead`. A dead
 /// busy member is absorbed at its partition's next checkpoint
 /// (expand_level_ft). A dead member of the idle group idle[match] held no
-/// rows: it leaves the group, which is erased once empty.
+/// rows: it leaves the group, which is erased once empty. Its detection
+/// books one t_timeout, as recover_from_failure does.
 void drop_dead_idle_rank(ParContext& ctx, std::vector<mpsim::Group>& idle,
                          std::size_t match, mpsim::Rank dead) {
   std::vector<mpsim::Rank> rest = idle[match].ranks();
   if (std::erase(rest, dead) == 0) return;
   ctx.machine().fault()->mark_recovered(dead);
   ctx.recovery.failures += 1;
+  ctx.recovery.detect_us += ctx.machine().cost().t_timeout;
   if (rest.empty()) {
     idle.erase(idle.begin() + static_cast<std::ptrdiff_t>(match));
   } else {

@@ -49,7 +49,7 @@ struct ParOptions {
   std::uint64_t seed = 7;
   /// Record run events in the machine trace (for the tour example).
   bool trace = false;
-  /// Observability sink (phase profiler + metrics registry), borrowed from
+  /// Observability sink (phase profiler, ledgers, tracer), borrowed from
   /// the caller; nullptr disables all instrumentation (one branch per
   /// charge). Attaching it never changes simulated time — tests enforce a
   /// bit-identical max_clock either way. Use one Observability per build_*

@@ -84,7 +84,6 @@ std::vector<std::vector<NodeWork>> shuffle_to_parts(
     const std::vector<int>& part_of,
     const std::vector<std::vector<int>>& part_members) {
   const obs::PhaseScope phase(ctx.profiler(), "record-shuffle");
-  const std::int64_t moved_before = ctx.records_moved;
   const int p = g.size();
   // Records that change ranks here leave the origin's local store and
   // enter the destination's (batched per ordered pair).
@@ -110,7 +109,6 @@ std::vector<std::vector<NodeWork>> shuffle_to_parts(
     }
   }
   g.all_to_all_personalized(words);
-  ctx.observe_shuffle_records(ctx.records_moved - moved_before);
   return out;
 }
 

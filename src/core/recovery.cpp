@@ -249,7 +249,8 @@ std::vector<NodeWork> expand_level_ft(ParContext& ctx, mpsim::Group& g,
     } catch (const mpsim::RankFailure& rf) {
       // A member died between levels (a retry budget ran out in a
       // collective no level wraps, such as the hybrid's rejoin) and the
-      // checkpoint barrier detected it. Nothing has run since the cut.
+      // checkpoint barrier raised it; the retries already waited out its
+      // detection. Nothing has run since the cut.
       recover_from_failure(ctx, g, frontier,
                            cut(ctx, g, std::move(frontier), level), rf);
       continue;

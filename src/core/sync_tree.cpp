@@ -7,7 +7,6 @@ namespace pdt::core {
 
 ParResult collect_result(ParContext& ctx) {
   mpsim::Machine& m = ctx.machine();
-  ctx.publish_summary_gauges();
   // Transient-retry cost accrues machine-side (admission control inside
   // Group collectives); fold it into the run's recovery accounting.
   ctx.recovery.retries = m.retries();

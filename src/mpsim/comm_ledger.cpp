@@ -111,11 +111,4 @@ CommLedger::Totals CommLedger::level_totals(int level) const {
   return t;
 }
 
-void CommLedger::clear() {
-  entries_.clear();
-  std::fill(words_.begin(), words_.end(), 0.0);
-  std::fill(messages_.begin(), messages_.end(), 0);
-  max_level_ = -1;
-}
-
 }  // namespace pdt::mpsim

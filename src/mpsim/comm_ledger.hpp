@@ -121,8 +121,6 @@ class CommLedger {
   /// Highest level seen on any entry (-1 if none).
   [[nodiscard]] int max_level() const { return max_level_; }
 
-  void clear();
-
  private:
   [[nodiscard]] std::size_t cell(Rank from, Rank to) const {
     return static_cast<std::size_t>(from) * static_cast<std::size_t>(n_) +

@@ -162,10 +162,9 @@ class ClockFold {
 class EventRecorder {
  public:
   /// (Re)bind to a machine of `nprocs` ranks using `cost`: clears the
-  /// event log and shadow clocks. Called by Machine::set_event_recorder
-  /// and Machine::reset; the interned phase names and the open phase
-  /// stack survive, since phase scopes may already be open when the
-  /// machine is created.
+  /// event log and shadow clocks. Called by Machine::set_event_recorder;
+  /// the interned phase names and the open phase stack survive, since
+  /// phase scopes may already be open when the machine is created.
   void bind(int nprocs, const CostModel& cost);
   [[nodiscard]] bool bound() const { return bound_; }
 

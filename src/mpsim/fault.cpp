@@ -130,6 +130,7 @@ FaultInjector::FaultInjector(FaultPlan plan, int nprocs)
     : plan_(std::move(plan)),
       alive_(static_cast<std::size_t>(nprocs), 1),
       recovered_(static_cast<std::size_t>(nprocs), 0),
+      escalated_(static_cast<std::size_t>(nprocs), 0),
       level_(static_cast<std::size_t>(nprocs), -1),
       fired_(plan_.fail_stops().size(), 0) {
   assert(nprocs >= 1);
@@ -226,6 +227,7 @@ TransientVerdict FaultInjector::take_transient(const std::vector<Rank>& ranks,
 void FaultInjector::kill(Rank r) {
   if (!alive(r)) return;
   alive_[static_cast<std::size_t>(r)] = 0;
+  escalated_[static_cast<std::size_t>(r)] = 1;
   ++deaths_fired_;
 }
 
@@ -240,22 +242,6 @@ std::vector<Rank> FaultInjector::alive_ranks() const {
     if (alive_[i] != 0) out.push_back(static_cast<Rank>(i));
   }
   return out;
-}
-
-void FaultInjector::reset() {
-  std::fill(alive_.begin(), alive_.end(), static_cast<char>(1));
-  std::fill(recovered_.begin(), recovered_.end(), static_cast<char>(0));
-  std::fill(level_.begin(), level_.end(), -1);
-  std::fill(fired_.begin(), fired_.end(), static_cast<char>(0));
-  const auto& corrupts = plan_.link_corrupts();
-  for (std::size_t i = 0; i < corrupts.size(); ++i) {
-    corrupt_remaining_[i] = corrupts[i].count;
-  }
-  const auto& timeouts = plan_.transient_timeouts();
-  for (std::size_t i = 0; i < timeouts.size(); ++i) {
-    timeout_remaining_[i] = timeouts[i].count;
-  }
-  deaths_fired_ = 0;
 }
 
 }  // namespace pdt::mpsim

@@ -42,16 +42,6 @@ class RankFailure : public std::runtime_error {
   bool detected = false;
 };
 
-/// Thrown by Machine::barrier_over when a collective includes a rank that
-/// was marked unreachable: on a real machine this collective would hang
-/// forever. The message carries every member's recent collective stamps
-/// (what / level / virtual time) — the per-rank stack a deadlock
-/// post-mortem needs.
-class DeadlockError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// One scheduled fail-stop: `rank` dies when its group enters tree level
 /// `level` (after that level's checkpoint is taken, so recovery always has
 /// a consistent snapshot that includes the dead rank's shard).
@@ -211,8 +201,14 @@ class FaultInjector {
                                                 int max_attempts);
 
   /// Forcibly fail-stop `r` (exhausted-retry escalation): the rank is
-  /// marked dead exactly as if a scheduled FailStop fired.
+  /// marked dead exactly as if a scheduled FailStop fired, and escalated.
   void kill(Rank r);
+  /// True once kill() escalated r. Its retries already waited out the
+  /// detection windows, so a barrier that meets it before its death is
+  /// recovered raises RankFailure without charging another timeout.
+  [[nodiscard]] bool escalated(Rank r) const {
+    return escalated_[static_cast<std::size_t>(r)] != 0;
+  }
 
   [[nodiscard]] int num_alive() const;
   /// All currently-alive ranks, ascending.
@@ -221,13 +217,11 @@ class FaultInjector {
 
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
-  /// Revive everything and un-fire all deaths (Machine::reset()).
-  void reset();
-
  private:
   FaultPlan plan_;
   std::vector<char> alive_;
   std::vector<char> recovered_;
+  std::vector<char> escalated_;
   std::vector<int> level_;
   std::vector<char> fired_;     ///< parallel to plan_.fail_stops()
   std::vector<int> corrupt_remaining_;    ///< parallel to link_corrupts()

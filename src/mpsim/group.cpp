@@ -93,37 +93,42 @@ void Group::collective(CollectiveKind kind, double words,
   if (EventRecorder* rec = machine_->event_recorder()) {
     rec->record_collective(to_string(kind), ranks_, words, dimension());
   }
-  // Admission first: transient faults matching this member set burn their
-  // retry budget (backed-off idle, Retry events) before the collective
-  // proceeds; an exhausted budget escalates to RankFailure inside
-  // admit_collective.
-  const auto sync = [&] {
-    machine_->admit_collective(ranks_, proto.barrier);
-    machine_->barrier_over(ranks_, proto.barrier);
-  };
-  sync();
-  Machine::RetryAccrual retry = machine_->take_retry_accrual();
   CommLedger* ledger = machine_->comm_ledger();
   CollectiveEntry e;
   e.kind = kind;
   e.group_base = ranks_.front();
   e.group_size = size();
-  e.words = words;
-  charge(e, ledger);
-  if (proto.trailing_barrier) {
+  // Admission first: transient faults matching this member set burn their
+  // retry budget (backed-off idle, Retry events) before the collective
+  // proceeds; an exhausted budget escalates to RankFailure inside
+  // admit_collective. The retry cost goes on this call's entry.
+  const auto take_retries = [&] {
+    const Machine::RetryAccrual retry = machine_->take_retry_accrual();
+    e.retry_us += retry.us;
+    e.retries += retry.attempts;
+  };
+  const auto sync = [&] {
+    machine_->admit_collective(ranks_, proto.barrier);
+    machine_->barrier_over(ranks_, proto.barrier);
+    take_retries();
+  };
+  try {
     sync();
-    const Machine::RetryAccrual trailing = machine_->take_retry_accrual();
-    retry.us += trailing.us;
-    retry.attempts += trailing.attempts;
+    e.words = words;
+    charge(e, ledger);
+    if (proto.trailing_barrier) sync();
+  } catch (const RankFailure&) {
+    // A failed call still books the retries it burned, so no later call
+    // absorbs them. One that failed at its entry moved nothing: its entry
+    // carries only the retries.
+    take_retries();
+    if (ledger != nullptr && e.retries > 0) ledger->record(e);
+    throw;
   }
   // An empty transfer plan normally records nothing, but retry cost burned
   // at its barriers must still land in the ledger.
   const bool empty = kind == CollectiveKind::Transfers && e.messages == 0;
-  if (ledger != nullptr && (!empty || retry.attempts > 0)) {
-    e.retry_us = retry.us;
-    e.retries = retry.attempts;
-    ledger->record(e);
-  }
+  if (ledger != nullptr && (!empty || e.retries > 0)) ledger->record(e);
   if (machine_->trace().enabled()) {
     machine_->trace().record({.time = horizon(),
                               .kind = proto.event,

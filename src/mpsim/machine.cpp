@@ -35,11 +35,7 @@ Machine::Machine(int nprocs, CostModel cost)
       clocks_(static_cast<std::size_t>(nprocs), 0.0),
       stats_(static_cast<std::size_t>(nprocs)),
       mem_(static_cast<std::size_t>(nprocs)),
-      cur_level_(static_cast<std::size_t>(nprocs), -1),
-      stamps_(static_cast<std::size_t>(nprocs)),
-      stamp_count_(static_cast<std::size_t>(nprocs), 0),
-      unreachable_(static_cast<std::size_t>(nprocs), 0),
-      unreachable_note_(static_cast<std::size_t>(nprocs)) {
+      cur_level_(static_cast<std::size_t>(nprocs), -1) {
   assert(nprocs >= 1);
 }
 
@@ -174,16 +170,13 @@ void Machine::admit_collective(const std::vector<Rank>& ranks,
 
 void Machine::barrier_over(const std::vector<Rank>& ranks, const char* what) {
   if (ranks.empty()) return;
-  if (unreachable_count_ > 0) {
-    for (Rank r : ranks) {
-      if (unreachable_[idx(r)] != 0) throw_deadlock(ranks, what);
-    }
-  }
   // With faults armed, a member that fail-stopped and whose death has not
   // been absorbed yet is detected here: the survivors synchronize, wait
   // out the detection timeout (charged as idle — the cost-model stand-in
   // for a heartbeat expiring), and the failure is raised for the recovery
-  // layer. Members whose death was already recovered are excluded — a
+  // layer. A member an exhausted retry budget killed was detected by its
+  // retries, so it raises the failure without waiting out another
+  // timeout. Members whose death was already recovered are excluded — a
   // stale group that still lists them simply proceeds without them.
   const std::vector<Rank>* members = &ranks;
   std::vector<Rank> alive_members;
@@ -200,6 +193,9 @@ void Machine::barrier_over(const std::vector<Rank>& ranks, const char* what) {
         if (injector_->alive(r)) alive_members.push_back(r);
       }
       if (dead >= 0) {
+        if (injector_->escalated(dead)) {
+          throw RankFailure(dead, injector_->level(dead), /*detected=*/true);
+        }
         const Time deadline = charge_timeout(alive_members, dead);
         if (trace_.enabled()) {
           trace_.record({.time = deadline,
@@ -230,58 +226,12 @@ void Machine::barrier_over(const std::vector<Rank>& ranks, const char* what) {
     }
   }
   for (Rank r : *members) advance_to(r, horizon);
-  for (Rank r : *members) push_stamp(r, what);
   if (observer_ != nullptr && members->size() > 1) {
     observer_->on_barrier(*members, holder, horizon);
   }
   if (recorder_ != nullptr && members->size() > 1) {
     recorder_->record_barrier(what, *members);
   }
-}
-
-void Machine::push_stamp(Rank r, const char* what) {
-  const std::size_t i = idx(r);
-  auto& ring = stamps_[i];
-  ring[static_cast<std::size_t>(stamp_count_[i] % kStampDepth)] =
-      CollectiveStamp{what, clocks_[i], cur_level_[i]};
-  ++stamp_count_[i];
-}
-
-void Machine::throw_deadlock(const std::vector<Rank>& ranks,
-                             const char* what) const {
-  std::string msg = "deadlock: collective \"";
-  msg += what;
-  msg += "\" over ranks {";
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    if (i > 0) msg += ",";
-    msg += std::to_string(ranks[i]);
-  }
-  msg += "} includes unreachable member(s); per-rank collective stamps:";
-  for (Rank r : ranks) {
-    const std::size_t i = idx(r);
-    msg += "\n  rank " + std::to_string(r);
-    if (unreachable_[i] != 0) {
-      msg += " [UNREACHABLE: " + unreachable_note_[i] + "]";
-    }
-    msg += " clock=" + std::to_string(clocks_[i]) + "us:";
-    const int n = std::min(stamp_count_[i], kStampDepth);
-    if (n == 0) msg += " (no collectives entered)";
-    for (int k = n; k > 0; --k) {
-      const auto& s = stamps_[i][static_cast<std::size_t>(
-          (stamp_count_[i] - k) % kStampDepth)];
-      msg += " ";
-      msg += s.what;
-      msg += "@level " + std::to_string(s.level) + " t=" +
-             std::to_string(s.time);
-    }
-  }
-  throw DeadlockError(msg);
-}
-
-void Machine::mark_unreachable(Rank r, std::string note) {
-  if (unreachable_[idx(r)] == 0) ++unreachable_count_;
-  unreachable_[idx(r)] = 1;
-  unreachable_note_[idx(r)] = std::move(note);
 }
 
 void Machine::arm_faults(const FaultPlan& plan) {
@@ -337,23 +287,6 @@ RankStats Machine::total_stats() const {
   RankStats total;
   for (const auto& s : stats_) total += s;
   return total;
-}
-
-void Machine::reset() {
-  std::fill(clocks_.begin(), clocks_.end(), 0.0);
-  std::fill(stats_.begin(), stats_.end(), RankStats{});
-  std::fill(mem_.begin(), mem_.end(), MemStats{});
-  std::fill(cur_level_.begin(), cur_level_.end(), -1);
-  std::fill(stamp_count_.begin(), stamp_count_.end(), 0);
-  std::fill(unreachable_.begin(), unreachable_.end(), static_cast<char>(0));
-  unreachable_count_ = 0;
-  retry_accrual_ = RetryAccrual{};
-  total_retries_ = 0;
-  total_retry_us_ = 0.0;
-  escalations_ = 0;
-  if (injector_ != nullptr) injector_->reset();
-  if (recorder_ != nullptr) recorder_->bind(size(), cost_);
-  trace_.clear();
 }
 
 }  // namespace pdt::mpsim

@@ -17,10 +17,8 @@
 // to a target time and is accounted as idle.
 #pragma once
 
-#include <array>
 #include <cassert>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "mpsim/cost_model.hpp"
@@ -87,12 +85,13 @@ class Machine {
   /// Synchronize `ranks` at their common horizon (the maximum clock over
   /// the set): every member waits up to it, then the observer's
   /// on_barrier hook fires with the max-clock member as path holder.
-  /// `what` names the collective for the per-rank stamp stacks a deadlock
-  /// post-mortem reports. With faults armed, a dead un-recovered member
-  /// makes the survivors wait out cost().t_timeout (charged as idle) and
-  /// then raises RankFailure instead of hanging; dead members whose death
-  /// was already recovered are silently excluded. A member previously
-  /// marked unreachable raises DeadlockError immediately.
+  /// `what` names the collective in the event log and the trace. With
+  /// faults armed, a dead un-recovered member makes the survivors wait
+  /// out cost().t_timeout (charged as idle) and then raises RankFailure
+  /// instead of hanging; a member an exhausted retry budget killed was
+  /// detected there, so it raises RankFailure without a second timeout.
+  /// Dead members whose death was already recovered are silently
+  /// excluded.
   void barrier_over(const std::vector<Rank>& ranks,
                     const char* what = "barrier");
 
@@ -124,7 +123,7 @@ class Machine {
     return out;
   }
 
-  /// Run-cumulative transient-retry counters (reset() zeroes them).
+  /// Run-cumulative transient-retry counters.
   [[nodiscard]] std::uint64_t retries() const { return total_retries_; }
   [[nodiscard]] Time retry_us() const { return total_retry_us_; }
   [[nodiscard]] int escalations() const { return escalations_; }
@@ -190,30 +189,11 @@ class Machine {
     return injector_ != nullptr ? injector_->link_factor(a, b) : 1.0;
   }
 
-  /// Record that rank r is working on tree level `level` (stamp metadata
-  /// for deadlock reports and straggler windows; never touches clocks).
+  /// Record that rank r is working on tree level `level`: the event log
+  /// stamps r's charges with it. Never touches clocks.
   void set_rank_level(Rank r, int level) { cur_level_[idx(r)] = level; }
-  [[nodiscard]] int rank_level(Rank r) const { return cur_level_[idx(r)]; }
-
-  /// Declare that rank r will never reach another collective (it exited
-  /// the algorithm, or a mismatched collective left it behind). The next
-  /// barrier_over that includes r fails fast with DeadlockError instead
-  /// of modelling an infinite hang.
-  void mark_unreachable(Rank r, std::string note);
-
-  /// Reset all clocks and stats to zero (keeps the trace setting and the
-  /// attached observer; an armed fault plan is re-armed from scratch).
-  void reset();
 
  private:
-  /// Last few collectives each rank entered (what / level / time).
-  struct CollectiveStamp {
-    const char* what = nullptr;
-    Time time = 0.0;
-    int level = -1;
-  };
-  static constexpr int kStampDepth = 4;
-
   /// The one charge step behind charge_compute/_time, charge_comm and
   /// charge_io: fail on a dead rank, scale by the straggler factor,
   /// advance the clock, update the stats, then tell the observer and the
@@ -231,9 +211,6 @@ class Machine {
   /// admit_collective. Returns the deadline.
   Time wait_out(const std::vector<Rank>& ranks, Time window);
 
-  void push_stamp(Rank r, const char* what);
-  [[noreturn]] void throw_deadlock(const std::vector<Rank>& ranks,
-                                   const char* what) const;
   [[nodiscard]] std::size_t idx(Rank r) const {
     assert(r >= 0 && r < size());
     return static_cast<std::size_t>(r);
@@ -249,11 +226,6 @@ class Machine {
   EventRecorder* recorder_ = nullptr;
   std::unique_ptr<FaultInjector> injector_;
   std::vector<int> cur_level_;
-  std::vector<std::array<CollectiveStamp, kStampDepth>> stamps_;
-  std::vector<int> stamp_count_;
-  std::vector<char> unreachable_;
-  std::vector<std::string> unreachable_note_;
-  int unreachable_count_ = 0;
   RetryAccrual retry_accrual_;
   std::uint64_t total_retries_ = 0;
   Time total_retry_us_ = 0.0;

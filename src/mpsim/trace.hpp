@@ -53,7 +53,6 @@ class Trace {
   }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
-  void clear() { events_.clear(); }
 
   /// Number of recorded events of the given kind.
   [[nodiscard]] std::size_t count(EventKind k) const;

@@ -152,40 +152,7 @@ void write_metrics(JsonWriter& w, const Observability& o) {
   }
   w.end_array();
 
-  const MetricsRegistry& reg = o.metrics();
-  w.key("counters").begin_object();
-  for (const auto& [name, c] : reg.counters()) w.kv(name, c.value());
   w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, g] : reg.gauges()) w.kv(name, g.value());
-  w.end_object();
-  w.key("histograms").begin_object();
-  for (const auto& [name, h] : reg.histograms()) {
-    w.key(name).begin_object();
-    w.kv("count", h.count());
-    w.kv("sum", h.sum());
-    w.kv("min", h.min());
-    w.kv("max", h.max());
-    w.kv("mean", h.mean());
-    // Sparse buckets: [upper_bound, count] pairs, zero buckets omitted.
-    w.key("buckets").begin_array();
-    for (int b = 0; b < Histogram::kBuckets; ++b) {
-      const std::uint64_t n = h.buckets()[static_cast<std::size_t>(b)];
-      if (n == 0) continue;
-      w.begin_array().value(Histogram::bucket_bound(b)).value(n).end_array();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-
-  w.end_object();
-}
-
-void write_metrics_report(std::ostream& os, const Observability& o) {
-  JsonWriter w(os);
-  write_metrics(w, o);
-  os << '\n';
 }
 
 // ---------------------------------------------------------------- comm --
@@ -412,22 +379,13 @@ void write_event(JsonWriter& w, const mpsim::ExecEvent& e) {
 namespace {
 
 /// The compact host overlay shared by the events log and any envelope
-/// that wants a one-object wall-clock summary: totals, counters, and a
-/// per-phase host-vs-virtual rollup.
+/// that wants a one-object wall-clock summary: totals and a per-phase
+/// host-vs-virtual rollup.
 void write_host_overlay(JsonWriter& w, const HostProfiler& host) {
   w.begin_object();
   w.kv("clock", host.clock_name());
   w.kv("total_ns", host.total_ns());
   w.kv("samples", host.samples());
-  const HostCounters hc = host.counters();
-  w.key("counters").begin_object();
-  w.kv("requested", host.counters_requested());
-  w.kv("enabled", hc.enabled);
-  if (hc.enabled) {
-    w.kv("cycles", hc.cycles);
-    w.kv("instructions", hc.instructions);
-  }
-  w.end_object();
 
   const PhaseProfiler* prof = host.stamps();
   w.key("by_phase").begin_array();
@@ -524,19 +482,6 @@ void write_host(JsonWriter& w, const HostProfiler& host) {
   // the count when it happened (absent otherwise, so clean runs keep
   // their pre-counter bytes).
   if (host.clamped() > 0) w.kv("clamped", host.clamped());
-
-  const HostCounters hc = host.counters();
-  w.key("counters").begin_object();
-  w.kv("requested", host.counters_requested());
-  w.kv("enabled", hc.enabled);
-  if (hc.enabled) {
-    w.kv("cycles", hc.cycles);
-    w.kv("instructions", hc.instructions);
-    w.kv("ipc", hc.cycles > 0 ? static_cast<double>(hc.instructions) /
-                                    static_cast<double>(hc.cycles)
-                              : 0.0);
-  }
-  w.end_object();
 
   // One row per (phase, level) scope, paired with the virtual
   // microseconds the same (phase, level) holds. Their sum is the virtual

@@ -7,10 +7,9 @@
 //    Load the file at https://ui.perfetto.dev or chrome://tracing.
 //
 //  * write_metrics — the machine-readable run report ("pdt-metrics-v1"):
-//    registry counters/gauges/histograms, the per-phase x per-level x
-//    per-rank virtual-time breakdown, and per-level rollups with
-//    load-imbalance and comm-to-compute factors. Schema documented in
-//    DESIGN.md §Observability.
+//    the per-phase x per-level x per-rank virtual-time breakdown and
+//    per-level rollups with load-imbalance and comm-to-compute factors.
+//    Schema documented in DESIGN.md §Observability.
 //
 //  * write_comm — the communication report ("pdt-comm-v1"): per-collective
 //    and per-level measured-vs-predicted cost aggregates from the
@@ -64,9 +63,6 @@ void write_perfetto_trace(std::ostream& os, const PhaseProfiler& profiler,
 /// Emit the "pdt-metrics-v1" report as one JSON object value on `w`
 /// (composable into a larger document — the bench envelopes do this).
 void write_metrics(JsonWriter& w, const Observability& o);
-
-/// Standalone file variant of write_metrics.
-void write_metrics_report(std::ostream& os, const Observability& o);
 
 /// Emit the "pdt-comm-v1" report as one JSON object value on `w`.
 /// `critical` adds the critical_path section; `profiler` resolves its

@@ -2,15 +2,6 @@
 
 #include <chrono>
 
-#if defined(__linux__)
-#include <linux/perf_event.h>
-#include <sys/ioctl.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
-#include <cstring>
-#endif
-
 namespace pdt::obs {
 
 std::int64_t SteadyHostClock::now_ns() {
@@ -18,74 +9,5 @@ std::int64_t SteadyHostClock::now_ns() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
-
-#if defined(__linux__)
-
-namespace {
-
-int open_counter(std::uint64_t config) {
-  perf_event_attr attr;
-  std::memset(&attr, 0, sizeof attr);
-  attr.type = PERF_TYPE_HARDWARE;
-  attr.size = sizeof attr;
-  attr.config = config;
-  attr.disabled = 1;
-  attr.exclude_kernel = 1;
-  attr.exclude_hv = 1;
-  // pid = 0, cpu = -1: this process, any CPU.
-  return static_cast<int>(
-      syscall(SYS_perf_event_open, &attr, 0, -1, -1, 0));
-}
-
-std::int64_t read_counter(int fd) {
-  if (fd < 0) return 0;
-  std::int64_t v = 0;
-  if (read(fd, &v, sizeof v) != sizeof v) return 0;
-  return v;
-}
-
-}  // namespace
-
-HostCounterGroup::~HostCounterGroup() {
-  if (cycles_fd_ >= 0) close(cycles_fd_);
-  if (instructions_fd_ >= 0) close(instructions_fd_);
-}
-
-bool HostCounterGroup::open() {
-  if (cycles_fd_ >= 0) return true;
-  cycles_fd_ = open_counter(PERF_COUNT_HW_CPU_CYCLES);
-  if (cycles_fd_ < 0) return false;  // paranoid kernel / seccomp / no PMU
-  instructions_fd_ = open_counter(PERF_COUNT_HW_INSTRUCTIONS);
-  return true;
-}
-
-void HostCounterGroup::start() {
-  for (const int fd : {cycles_fd_, instructions_fd_}) {
-    if (fd < 0) continue;
-    ioctl(fd, PERF_EVENT_IOC_RESET, 0);
-    ioctl(fd, PERF_EVENT_IOC_ENABLE, 0);
-  }
-}
-
-HostCounters HostCounterGroup::read() const {
-  HostCounters c;
-  if (cycles_fd_ < 0) return c;
-  c.enabled = true;
-  c.cycles = read_counter(cycles_fd_);
-  c.instructions = read_counter(instructions_fd_);
-  return c;
-}
-
-#else  // !__linux__ — the portable fallback: counters stay disabled.
-
-HostCounterGroup::~HostCounterGroup() = default;
-
-bool HostCounterGroup::open() { return false; }
-
-void HostCounterGroup::start() {}
-
-HostCounters HostCounterGroup::read() const { return HostCounters{}; }
-
-#endif
 
 }  // namespace pdt::obs

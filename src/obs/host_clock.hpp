@@ -5,11 +5,7 @@
 // host CPU. A HostClock abstracts the nanosecond timestamp source so the
 // profiler's attribution logic is testable against a deterministic fake,
 // while SteadyHostClock (std::chrono::steady_clock) is what production
-// runs use. HostCounterGroup optionally adds hardware cycle/instruction
-// counts via perf_event_open on Linux; everywhere else — and whenever the
-// kernel refuses the syscall (seccomp, perf_event_paranoid, containers) —
-// it degrades to a disabled no-op, so callers never need to gate on the
-// platform themselves.
+// runs use.
 #pragma once
 
 #include <cstdint>
@@ -33,41 +29,6 @@ class SteadyHostClock final : public HostClock {
  public:
   [[nodiscard]] std::int64_t now_ns() override;
   [[nodiscard]] const char* name() const override { return "steady_clock"; }
-};
-
-/// Snapshot of the hardware counters over the profiled interval.
-struct HostCounters {
-  bool enabled = false;  ///< false: platform/kernel refused the counters
-  std::int64_t cycles = 0;
-  std::int64_t instructions = 0;
-};
-
-/// CPU cycle + retired-instruction counters over one measurement window,
-/// backed by perf_event_open when the platform provides it.
-///
-/// Usage: open() once (false = unavailable, all later calls no-ops),
-/// start() before the measured region, read() after. Opening counters is
-/// best-effort by design: a profiler asked for counters on a machine
-/// without them still produces its wall-clock accounts, just with
-/// counters.enabled == false in the export.
-class HostCounterGroup {
- public:
-  HostCounterGroup() = default;
-  ~HostCounterGroup();
-  HostCounterGroup(const HostCounterGroup&) = delete;
-  HostCounterGroup& operator=(const HostCounterGroup&) = delete;
-
-  /// Try to open the cycle + instruction counters for this process.
-  bool open();
-  [[nodiscard]] bool opened() const { return cycles_fd_ >= 0; }
-  /// Reset and enable the counters (no-op when not opened).
-  void start();
-  /// Read the counts accumulated since start().
-  [[nodiscard]] HostCounters read() const;
-
- private:
-  int cycles_fd_ = -1;
-  int instructions_fd_ = -1;
 };
 
 }  // namespace pdt::obs

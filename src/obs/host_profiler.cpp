@@ -2,13 +2,8 @@
 
 namespace pdt::obs {
 
-HostProfiler::HostProfiler(const PhaseProfiler* stamps, HostClock* clock,
-                           HostProfilerConfig cfg)
-    : cfg_(cfg),
-      stamps_(stamps),
-      clock_(clock != nullptr ? clock : &default_clock_) {
-  if (cfg_.counters && counter_group_.open()) counter_group_.start();
-}
+HostProfiler::HostProfiler(const PhaseProfiler* stamps, HostClock* clock)
+    : stamps_(stamps), clock_(clock != nullptr ? clock : &default_clock_) {}
 
 void HostProfiler::on_transition(PhaseId p, int level) {
   const std::int64_t now = clock_->now_ns();
@@ -61,7 +56,5 @@ HostTotals HostProfiler::phase_totals(PhaseId p, int level,
   }
   return sum;
 }
-
-HostCounters HostProfiler::counters() const { return counter_group_.read(); }
 
 }  // namespace pdt::obs

@@ -47,12 +47,6 @@ struct HostTotals {
   [[nodiscard]] std::int64_t total_ns() const { return ns; }
 };
 
-struct HostProfilerConfig {
-  /// Also try to open perf_event_open cycle/instruction counters (Linux
-  /// only; silently unavailable elsewhere or when the kernel refuses).
-  bool counters = false;
-};
-
 class HostProfiler {
  public:
   /// `stamps` is the PhaseProfiler whose scopes drive this profiler (via
@@ -61,8 +55,7 @@ class HostProfiler {
   /// private SteadyHostClock is used. A non-null clock is borrowed
   /// (tests inject fakes).
   explicit HostProfiler(const PhaseProfiler* stamps = nullptr,
-                        HostClock* clock = nullptr,
-                        HostProfilerConfig cfg = {});
+                        HostClock* clock = nullptr);
 
   /// Scope-transition hook: reads the clock once and bills the time since
   /// the previous transition to (p, level), the scope current until now.
@@ -97,20 +90,10 @@ class HostProfiler {
   [[nodiscard]] const char* clock_name() const { return clock_->name(); }
   [[nodiscard]] const PhaseProfiler* stamps() const { return stamps_; }
 
-  /// Hardware counter snapshot (enabled == false when the platform or
-  /// kernel does not provide perf_event_open counters, or when the
-  /// config did not ask for them).
-  [[nodiscard]] HostCounters counters() const;
-  /// Whether the config asked for counters at all (so exports can tell
-  /// "not requested" from "requested but unavailable").
-  [[nodiscard]] bool counters_requested() const { return cfg_.counters; }
-
  private:
-  HostProfilerConfig cfg_;
   const PhaseProfiler* stamps_;
   SteadyHostClock default_clock_;
   HostClock* clock_;
-  HostCounterGroup counter_group_;
   bool started_ = false;
   std::int64_t last_ns_ = 0;
   std::int64_t total_ns_ = 0;

@@ -1,14 +1,14 @@
 // The per-run observability bundle: one PhaseProfiler, one
-// CriticalPathTracer, one CommLedger, and one MetricsRegistry, attachable
-// to a simulated Machine in a single call. Optional collectors ride
+// CriticalPathTracer, one CommLedger and one MemLedger, attachable to a
+// simulated Machine in a single call. Optional collectors ride
 // along on request: the event recorder, the host profiler (timed by the
 // PhaseProfiler's scope transitions) and the split audit.
 //
 // Ownership: the caller (a bench harness, test, or example) owns the
 // Observability and points ParOptions::obs at it; the run attaches the
-// observers to its Machine and resolves metric handles. One Observability
-// per build_* call — reusing one across runs accumulates, which is only
-// what you want when you mean it.
+// observers to its Machine. One Observability per build_* call — reusing
+// one across runs accumulates, which is only what you want when you mean
+// it.
 #pragma once
 
 #include <memory>
@@ -20,7 +20,6 @@
 #include "obs/host_profiler.hpp"
 #include "obs/mem_ledger.hpp"
 #include "obs/phase.hpp"
-#include "obs/registry.hpp"
 #include "obs/split_audit.hpp"
 
 namespace pdt::obs {
@@ -88,8 +87,6 @@ class Observability {
   }
   [[nodiscard]] MemLedger& mem_ledger() { return mem_; }
   [[nodiscard]] const MemLedger& mem_ledger() const { return mem_; }
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
   /// Turn on event-sourced execution logging: creates the owned
   /// EventRecorder (idempotent) and wires the profiler's phase scopes
@@ -109,15 +106,14 @@ class Observability {
 
   /// Turn on host (wall-clock) profiling: creates the owned HostProfiler
   /// and hands it to the virtual profiler, whose scope transitions time
-  /// it per (phase, level) (idempotent — the config of the first call
+  /// it per (phase, level) (idempotent — the clock of the first call
   /// wins). The charge fanout never sees it. Strictly passive: the
   /// virtual clocks, trees, and every pre-existing export stay
   /// bit-identical (the parity suite enforces it). Serialize with
   /// obs::write_host afterwards.
-  HostProfiler& enable_host_profiler(HostProfilerConfig cfg = {},
-                                     HostClock* clock = nullptr) {
+  HostProfiler& enable_host_profiler(HostClock* clock = nullptr) {
     if (host_ == nullptr) {
-      host_ = std::make_unique<HostProfiler>(&profiler_, clock, cfg);
+      host_ = std::make_unique<HostProfiler>(&profiler_, clock);
       profiler_.set_host_sink(host_.get());
     }
     return *host_;
@@ -159,7 +155,6 @@ class Observability {
   MemLedger mem_;
   ObserverFanout fanout_;
   mpsim::CommLedger ledger_;
-  MetricsRegistry metrics_;
   std::unique_ptr<mpsim::EventRecorder> recorder_;
   std::unique_ptr<HostProfiler> host_;
   std::unique_ptr<SplitAudit> split_audit_;

@@ -405,18 +405,6 @@ void render_host(const JsonValue& h, std::ostream& os) {
     os << "- **clock anomalies**: " << h.get("clamped").as_int()
        << " backwards steps clamped to zero-length intervals\n";
   }
-  const JsonValue& c = h.get("counters");
-  if (!c.is_null()) {
-    if (c.get("enabled").as_bool()) {
-      os << "- hw counters: " << fmt_int(c.get("cycles").as_double())
-         << " cycles, " << fmt_int(c.get("instructions").as_double())
-         << " instructions (IPC " << fmt(c.get("ipc").as_double(), 2)
-         << ")\n";
-    } else if (c.get("requested").as_bool()) {
-      os << "- hw counters: requested but unavailable (perf_event_open "
-            "refused or unsupported on this platform)\n";
-    }
-  }
   os << "\n";
 
   const JsonValue& by_phase = h.get("by_phase");
