@@ -78,6 +78,39 @@ TEST(EventLogTest, ShadowClocksTrackMachineBitExactly) {
   expect_in_step("compute");
 }
 
+TEST(EventLogTest, EscalatedRetriesKeepShadowClocksInStep) {
+  Machine m(4);
+  EventRecorder rec;
+  m.set_event_recorder(&rec);
+  mpsim::FaultPlan plan;
+  plan.corrupt_link(/*a=*/2, /*b=*/0, /*level=*/0,
+                    /*count=*/Machine::kMaxRetryAttempts + 1);
+  m.arm_faults(plan);
+  m.fault()->enter_level(0, {0, 1, 2, 3});
+  m.charge_compute_time(1, 12.0);
+
+  const auto expect_in_step = [&](const char* after) {
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(rec.clocks()[static_cast<std::size_t>(r)], m.clock(r))
+          << "rank " << r << " shadow clock diverged after " << after;
+    }
+  };
+  // Every failed attempt is logged before the escalation throws, and the
+  // barrier that raises the escalated rank advances no clock, so it logs
+  // nothing to replay.
+  EXPECT_THROW(m.admit_collective({0, 1, 2, 3}, "transfers"),
+               mpsim::RankFailure);
+  expect_in_step("escalation");
+  const std::size_t logged = rec.events().size();
+  EXPECT_THROW(m.barrier_over({0, 1, 2, 3}, "checkpoint"),
+               mpsim::RankFailure);
+  EXPECT_EQ(rec.events().size(), logged);
+  expect_in_step("barrier on the escalated rank");
+  m.fault()->mark_recovered(2);
+  m.barrier_over({0, 1, 2, 3}, "checkpoint");
+  expect_in_step("barrier without it");
+}
+
 TEST(EventLogTest, PhaseAndLevelStampsLandOnCharges) {
   Machine m(2);
   EventRecorder rec;
