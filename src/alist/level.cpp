@@ -79,13 +79,13 @@ LevelDecisions decide_level(const AttributeLists& lists,
         auto& left = lefts[static_cast<std::size_t>(i)];
         if (seen[static_cast<std::size_t>(i)] &&
             prev[static_cast<std::size_t>(i)] != e.value) {
-          dtree::SplitTest test;
-          test.kind = dtree::SplitTest::Kind::Threshold;
-          test.attr = a;
-          test.threshold =
-              0.5 * (prev[static_cast<std::size_t>(i)] + e.value);
-          trackers[static_cast<std::size_t>(i)].offer_binary(left,
-                                                             std::move(test));
+          trackers[static_cast<std::size_t>(i)].offer_binary(left, a, [&] {
+            dtree::SplitTest test;
+            test.kind = dtree::SplitTest::Kind::Threshold;
+            test.threshold =
+                0.5 * (prev[static_cast<std::size_t>(i)] + e.value);
+            return test;
+          });
         }
         ++left[static_cast<std::size_t>(e.label)];
         prev[static_cast<std::size_t>(i)] = e.value;
@@ -108,14 +108,7 @@ LevelDecisions decide_level(const AttributeLists& lists,
           static_cast<int>(e.value) * c_num + e.label)];
     }
     for (std::size_t i = 0; i < nf; ++i) {
-      if (!active[i]) continue;
-      if (attr.ordered) {
-        trackers[i].offer_ordered_table(
-            a, tables[i], slots, dtree::SplitTest::Kind::OrderedSlot,
-            [](int t) { return static_cast<double>(t); });
-      } else {
-        trackers[i].offer_nominal(a, tables[i], slots);
-      }
+      if (active[i]) trackers[i].offer_categorical(a, attr.ordered, tables[i]);
     }
   }
 

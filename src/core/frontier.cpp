@@ -47,21 +47,16 @@ dtree::SplitDecision choose_split_exact(std::span<const std::int64_t> hist,
       for (std::size_t i = 0; i + 1 < vals.size(); ++i) {
         ++left[static_cast<std::size_t>(vals[i].second)];
         if (vals[i].first == vals[i + 1].first) continue;
-        dtree::SplitTest test;
-        test.kind = dtree::SplitTest::Kind::Threshold;
-        test.attr = a;
-        test.threshold = 0.5 * (vals[i].first + vals[i + 1].first);
-        tracker.offer_binary(left, std::move(test));
+        tracker.offer_binary(left, a, [&] {
+          dtree::SplitTest test;
+          test.kind = dtree::SplitTest::Kind::Threshold;
+          test.threshold = 0.5 * (vals[i].first + vals[i + 1].first);
+          return test;
+        });
       }
       continue;
     }
-    if (attr.ordered) {
-      tracker.offer_ordered_table(a, table, layout.slots(a),
-                                  dtree::SplitTest::Kind::OrderedSlot,
-                                  [](int t) { return static_cast<double>(t); });
-    } else {
-      tracker.offer_nominal(a, table, layout.slots(a));
-    }
+    tracker.offer_categorical(a, attr.ordered, table);
   }
   return tracker.take();
 }

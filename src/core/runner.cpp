@@ -1,7 +1,5 @@
 #include "core/runner.hpp"
 
-#include <sstream>
-
 namespace pdt::core {
 
 const char* to_string(Formulation f) {
@@ -52,29 +50,6 @@ std::vector<SpeedupPoint> speedup_series(Formulation f,
     out.push_back(std::move(pt));
   }
   return out;
-}
-
-std::string verify_equivalence(const data::Dataset& ds,
-                               const ParOptions& base,
-                               const std::vector<int>& procs) {
-  const ParResult serial = build_serial(ds, base);
-  for (const Formulation f :
-       {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
-    for (const int p : procs) {
-      ParOptions opt = base;
-      opt.num_procs = p;
-      const ParResult res = build(f, ds, opt);
-      if (!res.tree.same_as(serial.tree)) {
-        std::ostringstream os;
-        os << to_string(f) << " with P=" << p
-           << " grew a different tree than the serial baseline ("
-           << res.tree.num_nodes() << " vs " << serial.tree.num_nodes()
-           << " nodes)";
-        return os.str();
-      }
-    }
-  }
-  return {};
 }
 
 }  // namespace pdt::core

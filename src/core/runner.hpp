@@ -1,9 +1,7 @@
-// Experiment driver: build with any formulation, compute speedups against
-// the one-processor baseline, and verify that every formulation grows the
-// identical tree (the correctness invariant all experiments rest on).
+// Experiment runner: build with any formulation and compute speedups
+// against the one-processor baseline.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/hybrid_tree.hpp"
@@ -39,12 +37,5 @@ struct SpeedupPoint {
 [[nodiscard]] std::vector<SpeedupPoint> speedup_series(
     Formulation f, const data::Dataset& ds, const ParOptions& base,
     const std::vector<int>& procs);
-
-/// Build with every formulation at every processor count and check all
-/// trees match the serial tree. Returns an empty string on success or a
-/// description of the first mismatch.
-[[nodiscard]] std::string verify_equivalence(const data::Dataset& ds,
-                                             const ParOptions& base,
-                                             const std::vector<int>& procs);
 
 }  // namespace pdt::core

@@ -150,9 +150,12 @@ std::vector<double> kmeans_boundaries(const std::vector<WeightedValue>& values,
 
   // Lloyd iterations; in 1-D each cluster is an interval, so assignment is
   // a merge-scan against midpoints between adjacent centers.
+  std::vector<double> sum;
+  std::vector<double> mass;
+  std::vector<double> next;
   for (int iter = 0; iter < max_iters; ++iter) {
-    std::vector<double> sum(centers.size(), 0.0);
-    std::vector<double> mass(centers.size(), 0.0);
+    sum.assign(centers.size(), 0.0);
+    mass.assign(centers.size(), 0.0);
     std::size_t c = 0;
     for (const auto& p : pts) {
       while (c + 1 < centers.size() &&
@@ -164,8 +167,7 @@ std::vector<double> kmeans_boundaries(const std::vector<WeightedValue>& values,
       mass[c] += p.weight;
     }
     double shift = 0.0;
-    std::vector<double> next;
-    next.reserve(centers.size());
+    next.clear();
     for (std::size_t j = 0; j < centers.size(); ++j) {
       if (mass[j] <= 0.0) continue;  // drop empty clusters
       const double m = sum[j] / mass[j];
@@ -175,7 +177,7 @@ std::vector<double> kmeans_boundaries(const std::vector<WeightedValue>& values,
     std::sort(next.begin(), next.end());
     next.erase(std::unique(next.begin(), next.end()), next.end());
     const bool converged = next.size() == centers.size() && shift < 1e-9;
-    centers = std::move(next);
+    centers.swap(next);
     if (converged) break;
   }
 

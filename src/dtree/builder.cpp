@@ -98,25 +98,17 @@ SplitDecision choose_exact(const data::Dataset& ds,
       for (std::size_t i = 0; i + 1 < vals.size(); ++i) {
         ++left[static_cast<std::size_t>(vals[i].second)];
         if (vals[i].first == vals[i + 1].first) continue;
-        SplitTest test;
-        test.kind = SplitTest::Kind::Threshold;
-        test.attr = a;
-        test.threshold = 0.5 * (vals[i].first + vals[i + 1].first);
-        tracker.offer_binary(left, std::move(test));
+        tracker.offer_binary(left, a, [&] {
+          SplitTest test;
+          test.kind = SplitTest::Kind::Threshold;
+          test.threshold = 0.5 * (vals[i].first + vals[i + 1].first);
+          return test;
+        });
       }
       continue;
     }
-
-    const std::vector<std::int64_t> table =
-        categorical_distribution(ds, rows, a);
-    const int slots = attr.cardinality;
-    if (attr.ordered) {
-      tracker.offer_ordered_table(a, table, slots,
-                                  SplitTest::Kind::OrderedSlot,
-                                  [](int t) { return static_cast<double>(t); });
-      continue;
-    }
-    tracker.offer_nominal(a, table, slots);
+    tracker.offer_categorical(a, attr.ordered,
+                              categorical_distribution(ds, rows, a));
   }
   return tracker.take();
 }

@@ -1,7 +1,7 @@
 #include "dtree/split.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <ranges>
 
 #include "data/discretize.hpp"
 #include "dtree/histogram.hpp"
@@ -70,48 +70,26 @@ SplitDecision choose_split(std::span<const std::int64_t> hist,
   BestTracker tracker(parent, opt);
   if (tracker.forced_leaf()) return tracker.take();
 
-  std::vector<std::int64_t> left(static_cast<std::size_t>(c_num));
   for (int a = 0; a < layout.num_attributes(); ++a) {
     const int slots = layout.slots(a);
     const auto table = hist.subspan(static_cast<std::size_t>(layout.offset(a)),
                                     static_cast<std::size_t>(slots * c_num));
     const data::Attribute& attr = schema.attr(a);
-
-    if (attr.is_continuous() && opt.cont_split != ContSplit::ThresholdScan) {
+    if (!attr.is_continuous()) {
+      tracker.offer_categorical(a, attr.ordered, table);
+      continue;
+    }
+    const auto cut = [&](int t) { return mapper.boundary(a, t); };
+    if (opt.cont_split == ContSplit::ThresholdScan) {
+      tracker.offer_ordered_table(a, table, SplitTest::Kind::Threshold,
+                                  std::views::iota(0, slots - 1), cut);
+    } else {
       // Per-node discretization (Section 3.4): only the KMeans/Quantile
       // boundaries are candidates.
-      const std::vector<int> candidates =
-          per_node_candidates(table, mapper, a, slots, c_num, opt);
-      std::fill(left.begin(), left.end(), 0);
-      std::size_t cand_i = 0;
-      for (int t = 0; t <= slots - 2; ++t) {
-        for (int c = 0; c < c_num; ++c) {
-          left[static_cast<std::size_t>(c)] +=
-              table[static_cast<std::size_t>(t * c_num + c)];
-        }
-        if (cand_i >= candidates.size() || candidates[cand_i] != t) continue;
-        ++cand_i;
-        SplitTest test;
-        test.kind = SplitTest::Kind::Threshold;
-        test.attr = a;
-        test.slot_threshold = t;
-        test.threshold = mapper.boundary(a, t);
-        tracker.offer_binary(left, std::move(test));
-      }
-      continue;
+      tracker.offer_ordered_table(
+          a, table, SplitTest::Kind::Threshold,
+          per_node_candidates(table, mapper, a, slots, c_num, opt), cut);
     }
-    if (attr.is_continuous()) {
-      tracker.offer_ordered_table(a, table, slots, SplitTest::Kind::Threshold,
-                                  [&](int t) { return mapper.boundary(a, t); });
-      continue;
-    }
-    if (attr.ordered) {
-      tracker.offer_ordered_table(a, table, slots,
-                                  SplitTest::Kind::OrderedSlot,
-                                  [](int t) { return static_cast<double>(t); });
-      continue;
-    }
-    tracker.offer_nominal(a, table, slots);
   }
   return tracker.take();
 }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
+#include <ranges>
 
 namespace pdt::dtree {
 
@@ -14,6 +14,7 @@ BestTracker::BestTracker(std::span<const std::int64_t> parent_counts,
       n_(total(parent_counts)),
       best_gain_(opt.min_gain),
       scratch_both_(static_cast<std::size_t>(2 * num_classes_)),
+      left_(static_cast<std::size_t>(num_classes_)),
       top1_gain_(-std::numeric_limits<double>::infinity()),
       top2_gain_(-std::numeric_limits<double>::infinity()) {
   int nonzero = 0;
@@ -21,40 +22,27 @@ BestTracker::BestTracker(std::span<const std::int64_t> parent_counts,
   forced_leaf_ = n_ < opt.min_records || nonzero <= 1;
 }
 
-void BestTracker::offer_binary(std::span<const std::int64_t> left,
-                               SplitTest test) {
+void BestTracker::offer_categorical(int attr, bool ordered,
+                                    std::span<const std::int64_t> table) {
   if (forced_leaf_) return;
-  const std::int64_t left_n = total(left);
-  if (left_n == 0 || left_n == n_) return;
-  for (int c = 0; c < num_classes_; ++c) {
-    scratch_both_[static_cast<std::size_t>(c)] =
-        left[static_cast<std::size_t>(c)];
-    scratch_both_[static_cast<std::size_t>(num_classes_ + c)] =
-        parent_[static_cast<std::size_t>(c)] -
-        left[static_cast<std::size_t>(c)];
-  }
-  const double g = gain(opt_->criterion, parent_, scratch_both_, num_classes_);
-  note_candidate(test.attr, g);
-  if (g > best_gain_) {
-    best_gain_ = g;
-    best_.gain = g;
-    test.num_children = 2;
-    best_.test = std::move(test);
-    best_.child_counts = scratch_both_;
+  if (ordered) {
+    const int slots = static_cast<int>(table.size()) / num_classes_;
+    offer_ordered_table(attr, table, SplitTest::Kind::OrderedSlot,
+                        std::views::iota(0, slots - 1),
+                        [](int t) { return static_cast<double>(t); });
+  } else if (opt_->policy == SplitPolicy::Multiway) {
+    offer_multiway(attr, table);
+  } else {
+    offer_subsets(attr, table);
   }
 }
 
 void BestTracker::offer_multiway(int attr,
-                                 std::span<const std::int64_t> table,
-                                 int slots) {
-  if (forced_leaf_) return;
+                                 std::span<const std::int64_t> table) {
+  const auto c_num = static_cast<std::size_t>(num_classes_);
   int nonempty = 0;
-  for (int s = 0; s < slots; ++s) {
-    std::int64_t ns = 0;
-    for (int c = 0; c < num_classes_; ++c) {
-      ns += table[static_cast<std::size_t>(s * num_classes_ + c)];
-    }
-    nonempty += ns > 0 ? 1 : 0;
+  for (std::size_t s = 0; s < table.size() / c_num; ++s) {
+    nonempty += total(table.subspan(s * c_num, c_num)) > 0 ? 1 : 0;
   }
   if (nonempty < 2) return;
   const double g = gain(opt_->criterion, parent_, table, num_classes_);
@@ -65,73 +53,56 @@ void BestTracker::offer_multiway(int attr,
     best_.test = SplitTest{};
     best_.test.kind = SplitTest::Kind::Multiway;
     best_.test.attr = attr;
-    best_.test.num_children = slots;
+    best_.test.num_children = static_cast<int>(table.size() / c_num);
     best_.child_counts.assign(table.begin(), table.end());
   }
 }
 
-void BestTracker::offer_nominal(int attr, std::span<const std::int64_t> table,
-                                int slots) {
-  if (forced_leaf_) return;
-  if (opt_->policy == SplitPolicy::Multiway) {
-    offer_multiway(attr, table, slots);
-    return;
-  }
+void BestTracker::offer_subsets(int attr,
+                                std::span<const std::int64_t> table) {
   // Binary subset split: order values by class-0 probability (optimal for
   // two classes with Gini [Breiman et al. 84]; a strong heuristic
   // otherwise) and scan prefixes.
+  const auto c_num = static_cast<std::size_t>(num_classes_);
+  const std::size_t slots = table.size() / c_num;
+  std::vector<std::int64_t> slot_n(slots);
   std::vector<int> order;
-  for (int s = 0; s < slots; ++s) {
-    std::int64_t ns = 0;
-    for (int c = 0; c < num_classes_; ++c) {
-      ns += table[static_cast<std::size_t>(s * num_classes_ + c)];
-    }
-    if (ns > 0) order.push_back(s);
+  for (std::size_t s = 0; s < slots; ++s) {
+    slot_n[s] = total(table.subspan(s * c_num, c_num));
+    if (slot_n[s] > 0) order.push_back(static_cast<int>(s));
   }
   if (order.size() < 2) return;
+  const auto p0 = [&](int s) {
+    const auto i = static_cast<std::size_t>(s);
+    return static_cast<double>(table[i * c_num]) /
+           static_cast<double>(slot_n[i]);
+  };
   std::sort(order.begin(), order.end(), [&](int x, int y) {
-    std::int64_t nx = 0, ny = 0;
-    for (int c = 0; c < num_classes_; ++c) {
-      nx += table[static_cast<std::size_t>(x * num_classes_ + c)];
-      ny += table[static_cast<std::size_t>(y * num_classes_ + c)];
-    }
-    const double px =
-        static_cast<double>(table[static_cast<std::size_t>(x * num_classes_)]) /
-        static_cast<double>(nx);
-    const double py =
-        static_cast<double>(table[static_cast<std::size_t>(y * num_classes_)]) /
-        static_cast<double>(ny);
+    const double px = p0(x);
+    const double py = p0(y);
     if (px != py) return px > py;
     return x < y;
   });
 
-  std::vector<std::int64_t> left(static_cast<std::size_t>(num_classes_), 0);
-  std::vector<std::uint8_t> mask(static_cast<std::size_t>(slots), 0);
+  std::fill(left_.begin(), left_.end(), 0);
   for (std::size_t k = 0; k + 1 < order.size(); ++k) {
-    const int s = order[k];
-    mask[static_cast<std::size_t>(s)] = 1;
-    for (int c = 0; c < num_classes_; ++c) {
-      left[static_cast<std::size_t>(c)] +=
-          table[static_cast<std::size_t>(s * num_classes_ + c)];
-    }
-    const std::int64_t left_n = total(left);
-    // Values unseen at this node route to the heavier child.
-    std::vector<std::uint8_t> full = mask;
-    const bool empty_to_left = left_n >= n_ - left_n;
-    for (int s2 = 0; s2 < slots; ++s2) {
-      std::int64_t ns = 0;
-      for (int c = 0; c < num_classes_; ++c) {
-        ns += table[static_cast<std::size_t>(s2 * num_classes_ + c)];
+    const auto s = static_cast<std::size_t>(order[k]);
+    for (std::size_t c = 0; c < c_num; ++c) left_[c] += table[s * c_num + c];
+    offer_binary(left_, attr, [&] {
+      // Values unseen at this node route to the heavier child.
+      const std::int64_t left_n = total(left_);
+      const std::uint8_t unseen = left_n >= n_ - left_n ? 1 : 0;
+      SplitTest test;
+      test.kind = SplitTest::Kind::Subset;
+      test.in_left.resize(slots);
+      for (std::size_t v = 0; v < slots; ++v) {
+        if (slot_n[v] == 0) test.in_left[v] = unseen;
       }
-      if (ns == 0) {
-        full[static_cast<std::size_t>(s2)] = empty_to_left ? 1 : 0;
+      for (std::size_t j = 0; j <= k; ++j) {
+        test.in_left[static_cast<std::size_t>(order[j])] = 1;
       }
-    }
-    SplitTest test;
-    test.kind = SplitTest::Kind::Subset;
-    test.attr = attr;
-    test.in_left = std::move(full);
-    offer_binary(left, std::move(test));
+      return test;
+    });
   }
 }
 

@@ -155,7 +155,6 @@ void FaultInjector::enter_level(int level, const std::vector<Rank>& ranks) {
       if (r == stops[i].rank && alive(r)) {
         alive_[static_cast<std::size_t>(r)] = 0;
         fired_[i] = 1;
-        ++deaths_fired_;
         break;
       }
     }
@@ -228,12 +227,6 @@ void FaultInjector::kill(Rank r) {
   if (!alive(r)) return;
   alive_[static_cast<std::size_t>(r)] = 0;
   escalated_[static_cast<std::size_t>(r)] = 1;
-  ++deaths_fired_;
-}
-
-int FaultInjector::num_alive() const {
-  return static_cast<int>(
-      std::count(alive_.begin(), alive_.end(), static_cast<char>(1)));
 }
 
 std::vector<Rank> FaultInjector::alive_ranks() const {

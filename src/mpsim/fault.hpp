@@ -210,12 +210,8 @@ class FaultInjector {
     return escalated_[static_cast<std::size_t>(r)] != 0;
   }
 
-  [[nodiscard]] int num_alive() const;
   /// All currently-alive ranks, ascending.
   [[nodiscard]] std::vector<Rank> alive_ranks() const;
-  [[nodiscard]] int deaths_fired() const { return deaths_fired_; }
-
-  [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
  private:
   FaultPlan plan_;
@@ -226,7 +222,6 @@ class FaultInjector {
   std::vector<char> fired_;     ///< parallel to plan_.fail_stops()
   std::vector<int> corrupt_remaining_;    ///< parallel to link_corrupts()
   std::vector<int> timeout_remaining_;    ///< parallel to transient_timeouts()
-  int deaths_fired_ = 0;
 };
 
 }  // namespace pdt::mpsim

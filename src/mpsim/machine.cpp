@@ -43,10 +43,6 @@ Time Machine::max_clock() const {
   return *std::max_element(clocks_.begin(), clocks_.end());
 }
 
-Time Machine::min_clock() const {
-  return *std::min_element(clocks_.begin(), clocks_.end());
-}
-
 void Machine::charge(Rank r, ChargeKind kind, Time t, double words_sent,
                      double words_received, std::uint64_t messages,
                      Time latency) {
@@ -265,12 +261,6 @@ void Machine::free_bytes(Rank r, MemTag tag, std::int64_t bytes) {
   if (observer_ != nullptr) {
     observer_->on_free(r, tag, bytes, m.live_total);
   }
-}
-
-std::int64_t Machine::max_peak_bytes() const {
-  std::int64_t peak = 0;
-  for (const MemStats& m : mem_) peak = std::max(peak, m.peak_total);
-  return peak;
 }
 
 void Machine::set_comm_ledger(CommLedger* ledger) {

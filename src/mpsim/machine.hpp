@@ -45,7 +45,6 @@ class Machine {
   [[nodiscard]] Time clock(Rank r) const { return clocks_[idx(r)]; }
   /// Completion time of the whole run: the maximum clock over all ranks.
   [[nodiscard]] Time max_clock() const;
-  [[nodiscard]] Time min_clock() const;
 
   /// Charge `units` abstract computation units (each costing t_c) to rank
   /// r's clock.
@@ -146,10 +145,6 @@ class Machine {
   [[nodiscard]] std::int64_t peak_bytes(Rank r) const {
     return mem_[idx(r)].peak_total;
   }
-  /// Maximum peak_bytes over all ranks — the machine's memory
-  /// bottleneck, the quantity the Section-4 scalability argument bounds.
-  [[nodiscard]] std::int64_t max_peak_bytes() const;
-
   [[nodiscard]] const RankStats& stats(Rank r) const { return stats_[idx(r)]; }
   /// Sum of all per-rank stats.
   [[nodiscard]] RankStats total_stats() const;

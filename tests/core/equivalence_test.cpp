@@ -122,13 +122,23 @@ std::vector<ContConfig> make_cont_configs() {
 INSTANTIATE_TEST_SUITE_P(ContinuousHandling, ContinuousEquivalenceTest,
                          ::testing::ValuesIn(make_cont_configs()), cont_name);
 
-// Verify the bundled helper agrees.
+// Every formulation at P = 2 and 4 grows the serial tree through the
+// build() dispatch.
 TEST(VerifyEquivalence, ReportsSuccessOnHealthyConfig) {
   const data::Dataset ds = data::discretize_uniform(
       data::quest_generate(1200, {.function = 2, .seed = 9}),
       data::quest_paper_bins());
-  ParOptions opt;
-  EXPECT_EQ(verify_equivalence(ds, opt, {2, 4}), "");
+  const ParOptions base;
+  const ParResult serial = build_serial(ds, base);
+  for (const Formulation f :
+       {Formulation::Sync, Formulation::Partitioned, Formulation::Hybrid}) {
+    for (const int p : {2, 4}) {
+      ParOptions opt = base;
+      opt.num_procs = p;
+      EXPECT_TRUE(build(f, ds, opt).tree.same_as(serial.tree))
+          << to_string(f) << " P=" << p;
+    }
+  }
 }
 
 }  // namespace

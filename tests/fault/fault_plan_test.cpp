@@ -128,20 +128,19 @@ TEST(FaultInjector, DeathFiresOnceAtScheduledLevel) {
   plan.fail_stop(2, 1);
   FaultInjector inj(plan, 4);
   const std::vector<Rank> all{0, 1, 2, 3};
-  EXPECT_EQ(inj.num_alive(), 4);
-  EXPECT_EQ(inj.deaths_fired(), 0);
+  EXPECT_EQ(inj.alive_ranks(), all);
 
   inj.enter_level(0, all);  // wrong level: nothing fires
   EXPECT_TRUE(inj.alive(2));
+  EXPECT_EQ(inj.alive_ranks(), all);
 
   inj.enter_level(1, all);
   EXPECT_FALSE(inj.alive(2));
-  EXPECT_EQ(inj.num_alive(), 3);
-  EXPECT_EQ(inj.deaths_fired(), 1);
   EXPECT_EQ(inj.alive_ranks(), (std::vector<Rank>{0, 1, 3}));
 
   inj.enter_level(1, all);  // already fired: no double-death
-  EXPECT_EQ(inj.deaths_fired(), 1);
+  EXPECT_FALSE(inj.alive(2));
+  EXPECT_EQ(inj.alive_ranks(), (std::vector<Rank>{0, 1, 3}));
 
   EXPECT_FALSE(inj.recovered(2));
   inj.mark_recovered(2);

@@ -12,7 +12,6 @@ TEST(Machine, StartsAtZero) {
     EXPECT_DOUBLE_EQ(m.clock(r), 0.0);
   }
   EXPECT_DOUBLE_EQ(m.max_clock(), 0.0);
-  EXPECT_DOUBLE_EQ(m.min_clock(), 0.0);
 }
 
 TEST(Machine, ComputeChargesUnitsTimesTc) {
@@ -24,7 +23,6 @@ TEST(Machine, ComputeChargesUnitsTimesTc) {
   EXPECT_DOUBLE_EQ(m.clock(1), 0.0);
   EXPECT_DOUBLE_EQ(m.stats(0).compute_time, 20.0);
   EXPECT_DOUBLE_EQ(m.max_clock(), 20.0);
-  EXPECT_DOUBLE_EQ(m.min_clock(), 0.0);
 }
 
 TEST(Machine, CommChargeTracksTrafficAndMessages) {

@@ -98,7 +98,7 @@ TEST(MemAccounts, PeakIsTheRunningMaxOfLiveAndLiveNeverGoesNegative) {
     EXPECT_GE(pr.min_live_after, 0) << "live bytes dipped below zero";
   }
   EXPECT_EQ(rec.ranks[0].events, 7u);
-  EXPECT_EQ(m.max_peak_bytes(), 1400);
+  EXPECT_EQ(std::max(m.mem(0).peak_total, m.mem(1).peak_total), 1400);
 }
 
 TEST(MemAccounts, ZeroByteEventsAreDropped) {
